@@ -112,6 +112,16 @@ def eval_fn(f, x, one_minus_x=None):
     return f(np.asarray(x, dtype=float))
 
 
+def basis_scale(widths: np.ndarray, k: int) -> np.ndarray:
+    """sqrt((2l+1)/h) scale factors of phi_0..phi_k per width, (len(widths), k+1)."""
+    return np.sqrt((2.0 * np.arange(k + 1)[None, :] + 1.0) / widths[:, None])
+
+
+def element_weights(mesh: Mesh, quad: Quadrature) -> np.ndarray:
+    """Physical quadrature weights h_j/2 * w_q of every element, (N, nq)."""
+    return 0.5 * mesh.widths[:, None] * quad.weights[None, :]
+
+
 def quad_points(mesh: Mesh, quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
     """Physical quadrature points x and offsets 1 - x, each (N, nq)."""
     theta = 0.5 * (quad.nodes + 1.0)
@@ -199,10 +209,8 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
     else:
         vals = np.asarray(f(x), dtype=float)
     vals = np.broadcast_to(vals, x.shape)
-    h = mesh.widths
-    scale = np.sqrt((2.0 * np.arange(k + 1)[None, :] + 1.0) / h[:, None])
     core = np.einsum("q,eq,lq->el", quad.weights, vals, p_table)
-    moments = scale * (0.5 * h[:, None]) * core
+    moments = basis_scale(mesh.widths, k) * (0.5 * mesh.widths[:, None]) * core
     if isinstance(f, LayerFn):
         moments = moments + f.coeff * layer_moments(mesh, f.eps, k)
     return moments
@@ -235,8 +243,7 @@ class PiecewisePoly:
     @property
     def scale(self) -> np.ndarray:
         """sqrt((2l+1)/h_j) basis scale factors, (N, k+1)."""
-        l = np.arange(self.k + 1)
-        return np.sqrt((2.0 * l[None, :] + 1.0) / self.mesh.widths[:, None])
+        return basis_scale(self.mesh.widths, self.k)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -257,10 +264,9 @@ class PiecewisePoly:
         elem = np.clip(np.searchsorted(self.mesh.nodes, x, side="left") - 1,
                        0, self.mesh.n_elements - 1)
         t = 2.0 * (x - self.mesh.nodes[elem]) / self.mesh.widths[elem] - 1.0
-        l = np.arange(self.k + 1)
         p = legendre_table(self.k, t)  # (k+1, npts)
-        s = np.sqrt((2.0 * l[:, None] + 1.0) / self.mesh.widths[elem][None, :])
-        return np.einsum("ml,ml->l", self.coeffs[elem].T * s, p)
+        s = basis_scale(self.mesh.widths[elem], self.k)
+        return np.einsum("ml,ml->l", (self.coeffs[elem] * s).T, p)
 
     # -- traces and jumps ---------------------------------------------------
 
@@ -300,9 +306,6 @@ class PiecewisePoly:
     def l2(self) -> float:
         """Global L2 norm (orthonormal basis: Euclidean coefficient norm)."""
         return float(np.sqrt((self.coeffs**2).sum()))
-
-    def element_l2(self) -> np.ndarray:
-        return np.sqrt((self.coeffs**2).sum(axis=1))
 
     def _check_same(self, other: "PiecewisePoly") -> None:
         if self.mesh is not other.mesh or self.k != other.k:
@@ -369,16 +372,14 @@ def project_gauss_radau(sign: ProjectionSign, f, mesh: Mesh, k: int,
     m = k + 1
     moments = element_moments(f, mesh, k, quad)
 
+    trace_row = basis_scale(mesh.widths, k)
     if sign is ProjectionSign.MINUS:
         colloc_x = mesh.nodes[1:]
         colloc_omx = mesh.offsets[1:]
-        trace_row = np.sqrt((2.0 * np.arange(m)[None, :] + 1.0) / mesh.widths[:, None])
     elif sign is ProjectionSign.PLUS:
         colloc_x = mesh.nodes[:-1]
         colloc_omx = mesh.offsets[:-1]
-        signs = (-1.0) ** np.arange(m)
-        trace_row = (np.sqrt((2.0 * np.arange(m)[None, :] + 1.0)
-                             / mesh.widths[:, None]) * signs[None, :])
+        trace_row = trace_row * ((-1.0) ** np.arange(m))[None, :]
     else:
         raise ValueError(f"unknown projection sign {sign!r}")
 

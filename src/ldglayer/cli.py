@@ -99,6 +99,14 @@ def _merge(cli_value, file_values: dict[str, str], key: str, fallback: str) -> s
     return file_values.get(key, fallback)
 
 
+def _write(text: str, path: str) -> None:
+    """Write text to path, '-' meaning stdout."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def _run_study_command(argv: list[str]) -> int:
     args = _study_parser().parse_args(argv)
     file_values = _read_config_file(args.config) if args.config else {}
@@ -125,11 +133,7 @@ def _run_study_command(argv: list[str]) -> int:
         output_path=None if out_path == "-" else out_path, workers=workers)
 
     report = run_study(config)
-    text = emit_table(report, config.output_format)
-    if config.output_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.output_path).write_text(text)
+    _write(emit_table(report, config.output_format), config.output_path or "-")
     if plot_dir:
         emit_plotdata(report, plot_dir)
     for row in report.rows:
@@ -139,54 +143,40 @@ def _run_study_command(argv: list[str]) -> int:
     return 1 if report.any_failed else 0
 
 
-def _mesh_dump_command(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="ldg-study mesh-dump")
+def _mesh_args() -> argparse.ArgumentParser:
+    """Mesh and output flags shared by the dump subcommands."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--mesh", required=True)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--eps", type=float, required=True)
     parser.add_argument("--sigma", type=float, required=True)
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--out", default="-")
+    return parser
+
+
+def _dump_command(name: str, argv: list[str]) -> int:
+    """mesh-dump: the mesh nodes; matrix-dump: the assembled matrix (COO)."""
+    parser = argparse.ArgumentParser(prog=f"ldg-study {name}",
+                                     parents=[_mesh_args()])
+    if name == "matrix-dump":
+        parser.add_argument("--k", type=int, required=True)
     args = parser.parse_args(argv)
     mesh = build_mesh(MeshSpec(kind=MeshKind.from_tag(args.mesh), N=args.n,
                                eps=args.eps, sigma=args.sigma, alpha=args.alpha))
-    text = mesh.dump_nodes()
-    if args.out == "-":
-        sys.stdout.write(text)
+    if name == "mesh-dump":
+        text = mesh.dump_nodes()
     else:
-        Path(args.out).write_text(text)
-    return 0
-
-
-def _matrix_dump_command(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="ldg-study matrix-dump")
-    parser.add_argument("--mesh", required=True)
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--eps", type=float, required=True)
-    parser.add_argument("--sigma", type=float, required=True)
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--out", default="-")
-    args = parser.parse_args(argv)
-    mesh = build_mesh(MeshSpec(kind=MeshKind.from_tag(args.mesh), N=args.n,
-                               eps=args.eps, sigma=args.sigma, alpha=args.alpha))
-    case = boundary_layer_case(args.eps)
-    system = assemble(case.problem, mesh, args.k)
-    text = system.dump_coo()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+        text = assemble(boundary_layer_case(args.eps).problem, mesh, args.k).dump_coo()
+    _write(text, args.out)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] == "mesh-dump":
-            return _mesh_dump_command(argv[1:])
-        if argv and argv[0] == "matrix-dump":
-            return _matrix_dump_command(argv[1:])
+        if argv and argv[0] in ("mesh-dump", "matrix-dump"):
+            return _dump_command(argv[0], argv[1:])
         return _run_study_command(argv)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

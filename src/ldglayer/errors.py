@@ -1,9 +1,9 @@
 """Energy/L2/Linf error measures, convergence rates, and identity checks.
 
-The energy norm of the error e = (u - U, p - P, q - Q) uses the same four
-terms as the scheme-induced norm; interior jumps of the continuous exact
-functions vanish, so [e_p]_j = -[P]_j there, while the boundary jumps use the
-exact boundary values ([e]_0 = e_0^+, [e]_N = -e_N^-).
+The energy norm of the error e = (u - U, p - P, q - Q) is the scheme-induced
+norm's ``energy_parts`` applied to e.  Its jumps are -[v]_j of
+``PiecewisePoly.jumps`` plus the exact boundary values, since the exact
+functions are continuous ([e]_0 = e_0^+, [e]_N = -e_N^-).
 
 Error quadrature defaults to 20 Gauss points per element; layer-adapted
 meshes resolve the layer factor within each fine element, and
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (LayerFn, PiecewisePoly, ProjectionSign, Quadrature,
-                    element_values, eval_fn, gauss_quadrature, layer_moments,
-                    project_gauss_radau, quad_points)
+                    element_values, element_weights, eval_fn, gauss_quadrature,
+                    layer_moments, project_gauss_radau, quad_points)
 from .cases import TestCase, boundary_layer_case
 from .meshes import Mesh
-from .solver import LdgSolution, Problem, solve_ldg
+from .solver import LdgSolution, Problem, energy_parts, solve_ldg
 
 ERROR_QUAD_POINTS = 20
 
@@ -50,22 +50,25 @@ class ErrorRecord:
     part_u_jump: float
 
 
-def _boundary_values(fn) -> tuple[float, float]:
-    left = float(np.asarray(eval_fn(fn, 0.0, 1.0), dtype=float))
-    right = float(np.asarray(eval_fn(fn, 1.0, 0.0), dtype=float))
-    return left, right
-
-
 def _error_jumps(exact_fn, v: PiecewisePoly) -> np.ndarray:
-    """[exact - v]_j for j = 0..N, using continuity of the exact function."""
-    minus = v.trace_minus_all()
-    plus = v.trace_plus_all()
-    left, right = _boundary_values(exact_fn)
-    out = np.empty(v.mesh.n_elements + 1)
-    out[0] = left - plus[0]
-    out[1:-1] = minus[:-1] - plus[1:]   # -[v]_j at interior nodes
-    out[-1] = minus[-1] - right
+    """[exact - v]_j for j = 0..N: the exact function is continuous, so only
+    its boundary values add to -[v]_j."""
+    out = -v.jumps()
+    out[0] += float(eval_fn(exact_fn, 0.0, 1.0))
+    out[-1] -= float(eval_fn(exact_fn, 1.0, 0.0))
     return out
+
+
+def _linf_fine(exact_fn, v: PiecewisePoly, diff: np.ndarray) -> float:
+    """Max |exact - v| over the fine region: the quadrature-point misfits
+    ``diff`` plus the element endpoints."""
+    mesh = v.mesh
+    fine = slice(mesh.n_coarse, None)
+    ends = np.asarray(eval_fn(exact_fn, mesh.nodes, mesh.offsets), dtype=float)
+    ends = np.broadcast_to(ends, mesh.nodes.shape)
+    lefts = np.abs(ends[:-1][fine] - v.trace_plus_all()[fine])
+    rights = np.abs(ends[1:][fine] - v.trace_minus_all()[fine])
+    return float(max(np.abs(diff[fine]).max(), lefts.max(), rights.max()))
 
 
 def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
@@ -74,59 +77,28 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
     if quad is None:
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
     mesh = w.U.mesh
-    hw = 0.5 * mesh.widths[:, None] * quad.weights[None, :]
-    x, _ = quad_points(mesh, quad)
+    hw = element_weights(mesh, quad)
 
     eu = element_values(exact_u, mesh, quad) - w.U.values_at(quad)
     ep = element_values(exact_p, mesh, quad) - w.P.values_at(quad)
     eq = element_values(exact_q, mesh, quad) - w.Q.values_at(quad)
-
-    aq = np.broadcast_to(np.asarray(problem.a(x), dtype=float), x.shape)
-    cbq = np.broadcast_to(np.asarray(problem.c(x), dtype=float)
-                          - 0.5 * np.asarray(problem.bprime(x), dtype=float),
-                          x.shape)
-    bn = np.broadcast_to(np.asarray(problem.b(mesh.nodes), dtype=float),
-                         mesh.nodes.shape)
-
     jumps_p = _error_jumps(exact_p, w.P)
     jumps_u = _error_jumps(exact_u, w.U)
-
-    part_p_jump = 0.5 * problem.eps * float((jumps_p**2).sum())
-    part_p_l2 = float((hw * aq * ep**2).sum())
-    part_u_l2 = float((hw * cbq * eu**2).sum())
-    part_u_jump = 0.5 * float((np.abs(bn) * jumps_u**2).sum())
-
-    fine = slice(mesh.n_coarse, mesh.n_elements)
-    eu_fine = np.abs(eu[fine]).max() if mesh.n_elements >= 2 else np.abs(eu).max()
-    eu_fine = max(float(eu_fine), _linf_trace_misfit(exact_u, w.U, fine))
+    parts = energy_parts(problem, mesh, quad, ep, eu, jumps_p, jumps_u)
 
     return ErrorRecord(
-        energy=math.sqrt(part_p_jump + part_p_l2 + part_u_l2 + part_u_jump),
+        energy=math.sqrt(sum(parts)),
         l2_u=float(np.sqrt((hw * eu**2).sum())),
         l2_p=float(np.sqrt((hw * ep**2).sum())),
         l2_q=float(np.sqrt((hw * eq**2).sum())),
-        linf_u_fine=eu_fine,
+        linf_u_fine=_linf_fine(exact_u, w.U, eu),
         jump_u=float(np.sqrt((jumps_u**2).sum())),
         jump_p=float(np.sqrt((jumps_p**2).sum())),
-        part_p_jump=part_p_jump,
-        part_p_l2=part_p_l2,
-        part_u_l2=part_u_l2,
-        part_u_jump=part_u_jump,
+        part_p_jump=parts[0],
+        part_p_l2=parts[1],
+        part_u_l2=parts[2],
+        part_u_jump=parts[3],
     )
-
-
-def _linf_trace_misfit(exact_fn, v: PiecewisePoly, elems: slice) -> float:
-    """Max |exact - v| over the element endpoints of the selected range."""
-    mesh = v.mesh
-    idx = np.arange(mesh.n_elements)[elems]
-    lefts = np.abs(
-        np.asarray(eval_fn(exact_fn, mesh.nodes[idx], mesh.offsets[idx]), dtype=float)
-        - v.trace_plus_all()[idx])
-    rights = np.abs(
-        np.asarray(eval_fn(exact_fn, mesh.nodes[idx + 1], mesh.offsets[idx + 1]),
-                   dtype=float)
-        - v.trace_minus_all()[idx])
-    return float(max(lefts.max(), rights.max()))
 
 
 def error_energy_norm(exact_triple, w: LdgSolution, problem: Problem,
@@ -140,10 +112,8 @@ def l2_error(exact, v: PiecewisePoly, quad: Quadrature | None = None) -> float:
     """Composite Gauss L2 distance between a function and a piecewise poly."""
     if quad is None:
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    mesh = v.mesh
-    hw = 0.5 * mesh.widths[:, None] * quad.weights[None, :]
-    diff = element_values(exact, mesh, quad) - v.values_at(quad)
-    return float(np.sqrt((hw * diff**2).sum()))
+    diff = element_values(exact, v.mesh, quad) - v.values_at(quad)
+    return float(np.sqrt((element_weights(v.mesh, quad) * diff**2).sum()))
 
 
 def linf_error_fine(exact, v: PiecewisePoly,
@@ -152,11 +122,7 @@ def linf_error_fine(exact, v: PiecewisePoly,
     plus element endpoints."""
     if quad is None:
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    mesh = v.mesh
-    fine = slice(mesh.n_coarse, mesh.n_elements)
-    diff = element_values(exact, mesh, quad) - v.values_at(quad)
-    return max(float(np.abs(diff[fine]).max()),
-               _linf_trace_misfit(exact, v, fine))
+    return _linf_fine(exact, v, element_values(exact, v.mesh, quad) - v.values_at(quad))
 
 
 def energy_quadrature_drift(exact_triple, w: LdgSolution,
@@ -244,7 +210,7 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
 def _hybrid_inner(f, v: PiecewisePoly, quad: Quadrature) -> np.ndarray:
     """Per-element <f, v> with the layer part integrated exactly."""
     mesh = v.mesh
-    hw = 0.5 * mesh.widths[:, None] * quad.weights[None, :]
+    hw = element_weights(mesh, quad)
     if isinstance(f, LayerFn):
         x, _ = quad_points(mesh, quad)
         smooth_part = (hw * np.asarray(f.smooth(x), dtype=float)

@@ -148,10 +148,6 @@ class Mesh:
         """Number of elements left of the transition point."""
         return self.n_elements // 2
 
-    def element_left(self, j: int) -> float:
-        """Left endpoint of element j (1-based)."""
-        return float(self.nodes[j - 1])
-
     def one_minus_x(self, elem: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """1 - x at relative position theta in [0, 1] of 0-based elements.
 

@@ -14,6 +14,14 @@ boundary values chosen to enforce u(0) = u(1) = u'(1) = 0 weakly:
     j = N:       Uhat = 0, Phat = 0, Qhat = Q^-, Ptilde = P^-,
                  bU = (b+|b|)/2 U^-
 
+``flux_table`` is the one vectorised statement of these rules;
+``flux_values`` reads one node from it and ``bilinear_form`` tests the
+fluxes against the jumps of the test functions.  ``assemble`` writes the
+same rules out a second time as matrix blocks, and ``bilinear_form``, which
+never looks at the matrix, is the independent oracle those blocks are tested
+against.  Coefficients are sampled only through ``Problem.at``, and the
+four terms of the energy norm live in ``energy_parts``.
+
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
 element and is solved by a sparse direct LU factorisation with partial
 pivoting, followed by iterative refinement until the residual meets the
@@ -22,6 +30,7 @@ advertised tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,9 +38,9 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .basis import (PiecewisePoly, Quadrature, element_moments, element_values,
-                    eval_fn, gauss_quadrature, legendre_deriv_table,
-                    legendre_table, quad_points)
+from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
+                    element_values, element_weights, eval_fn, gauss_quadrature,
+                    legendre_deriv_table, legendre_table, quad_points)
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
@@ -76,6 +85,17 @@ class Problem:
         if np.any(np.abs(bp - fd) > 1e-6 * (1.0 + np.abs(bp))):
             raise ValueError("bprime disagrees with a central difference of b")
 
+    def at(self, x) -> tuple[np.ndarray, ...]:
+        """Coefficients (a, b, c, b') at the points x, each of x's shape."""
+        x = np.asarray(x, dtype=float)
+        return tuple(np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+                     for fn in (self.a, self.b, self.c, self.bprime))
+
+
+def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b+|b|)/2 and (b-|b|)/2, the weights of U^- and U^+ in the flux bU."""
+    return 0.5 * (b + np.abs(b)), 0.5 * (b - np.abs(b))
+
 
 @dataclass(frozen=True)
 class SolveInfo:
@@ -108,29 +128,33 @@ class FluxValues:
     bu: float
 
 
+def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
+    """Numerical fluxes (Uhat, Phat, Qhat, Ptilde, bU) at nodes 0..N.
+
+    ``u``, ``p`` and ``q`` are trace pairs (v^-, v^+) with v^- at nodes
+    1..N and v^+ at nodes 0..N-1.
+    """
+    (u_m, u_p), (p_m, p_p), (q_m, q_p) = u, p, q
+    b_up, b_dn = upwind_split(problem.at(mesh.nodes)[1])
+    zero = np.zeros(1)
+    return (np.concatenate([zero, u_m[:-1], zero]),
+            np.concatenate([p_p, zero]),
+            np.concatenate([q_p, q_m[-1:]]),
+            np.concatenate([p_p, p_m[-1:]]),
+            b_up * np.concatenate([zero, u_m]) + b_dn * np.concatenate([u_p, zero]))
+
+
+def _traces(v: PiecewisePoly) -> tuple[np.ndarray, np.ndarray]:
+    return v.trace_minus_all(), v.trace_plus_all()
+
+
 def flux_values(w: LdgSolution, j: int, problem: Problem) -> FluxValues:
     """Numerical fluxes of the solution triple at node j (0 <= j <= N)."""
     n = w.U.mesh.n_elements
     if not 0 <= j <= n:
         raise ValueError(f"node index must satisfy 0 <= j <= {n}, got {j}")
-    bj = float(np.asarray(problem.b(w.U.mesh.nodes[j]), dtype=float))
-    bplus = 0.5 * (bj + abs(bj))
-    bminus = 0.5 * (bj - abs(bj))
-    um = w.U.trace_minus_all()
-    up = w.U.trace_plus_all()
-    pm = w.P.trace_minus_all()
-    pp = w.P.trace_plus_all()
-    qm = w.Q.trace_minus_all()
-    qp = w.Q.trace_plus_all()
-    if j == 0:
-        return FluxValues(uhat=0.0, phat=float(pp[0]), qhat=float(qp[0]),
-                          ptilde=float(pp[0]), bu=bminus * float(up[0]))
-    if j == n:
-        return FluxValues(uhat=0.0, phat=0.0, qhat=float(qm[-1]),
-                          ptilde=float(pm[-1]), bu=bplus * float(um[-1]))
-    return FluxValues(uhat=float(um[j - 1]), phat=float(pp[j]),
-                      qhat=float(qp[j]), ptilde=float(pp[j]),
-                      bu=bplus * float(um[j - 1]) + bminus * float(up[j]))
+    table = flux_table(problem, w.U.mesh, _traces(w.U), _traces(w.P), _traces(w.Q))
+    return FluxValues(*(float(column[j]) for column in table))
 
 
 @dataclass
@@ -146,10 +170,6 @@ class BlockSystem:
     rhs: np.ndarray
     mesh: Mesh
     k: int
-
-    @property
-    def block_size(self) -> int:
-        return 3 * (self.k + 1)
 
     def dump_coo(self) -> str:
         """'row col value' per line (debugging aid)."""
@@ -185,17 +205,12 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     p_tab = legendre_table(k, tq)
     dp_tab = legendre_deriv_table(k, tq)
     x, _ = quad_points(mesh, quad)
+    aq, bq, cq, bpq = problem.at(x)
+    cbq = cq - bpq
 
-    aq = np.broadcast_to(np.asarray(problem.a(x), dtype=float), x.shape)
-    bq = np.broadcast_to(np.asarray(problem.b(x), dtype=float), x.shape)
-    cbq = np.broadcast_to(
-        np.asarray(problem.c(x), dtype=float)
-        - np.asarray(problem.bprime(x), dtype=float), x.shape)
-
-    l = np.arange(m)
-    s = np.sqrt((2.0 * l[None, :] + 1.0) / h[:, None])          # (n, m)
+    s = basis_scale(h, k)                                        # (n, m)
     right = s
-    left = s * ((-1.0) ** l)[None, :]
+    left = s * ((-1.0) ** np.arange(m))[None, :]
     eye = np.broadcast_to(np.eye(m), (n, m, m))
 
     # <coeff * trial_m, test_l'>; the h factors cancel into the s scales.
@@ -209,12 +224,8 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
                         p_tab, p_tab)
     mass_cb *= s[:, :, None] * s[:, None, :]
 
-    an = np.asarray(problem.a(mesh.nodes), dtype=float)
-    bn = np.asarray(problem.b(mesh.nodes), dtype=float)
-    an = np.broadcast_to(an, mesh.nodes.shape)
-    bn = np.broadcast_to(bn, mesh.nodes.shape)
-    b_up = 0.5 * (bn + np.abs(bn))
-    b_dn = 0.5 * (bn - np.abs(bn))
+    an, bn, _, _ = problem.at(mesh.nodes)
+    b_up, b_dn = upwind_split(bn)
 
     rxr = _outer(right, right)
     lxl = _outer(left, left)
@@ -368,32 +379,14 @@ def solve_ldg(problem: Problem, mesh: Mesh, k: int,
 # Bilinear form and energy norm
 # ---------------------------------------------------------------------------
 
-class _OnMesh:
-    """Uniform access to values/traces of a PiecewisePoly or a callable."""
-
-    def __init__(self, obj, mesh: Mesh, quad: Quadrature):
-        self.obj = obj
-        self.mesh = mesh
-        self.quad = quad
-
-    def values(self) -> np.ndarray:
-        if isinstance(self.obj, PiecewisePoly):
-            return self.obj.values_at(self.quad)
-        return element_values(self.obj, self.mesh, self.quad)
-
-    def trace_minus(self) -> np.ndarray:
-        """Values v_j^- at nodes 1..N."""
-        if isinstance(self.obj, PiecewisePoly):
-            return self.obj.trace_minus_all()
-        vals = eval_fn(self.obj, self.mesh.nodes[1:], self.mesh.offsets[1:])
-        return np.broadcast_to(np.asarray(vals, dtype=float), (self.mesh.n_elements,))
-
-    def trace_plus(self) -> np.ndarray:
-        """Values v_j^+ at nodes 0..N-1."""
-        if isinstance(self.obj, PiecewisePoly):
-            return self.obj.trace_plus_all()
-        vals = eval_fn(self.obj, self.mesh.nodes[:-1], self.mesh.offsets[:-1])
-        return np.broadcast_to(np.asarray(vals, dtype=float), (self.mesh.n_elements,))
+def _on_mesh(obj, mesh: Mesh, quad: Quadrature):
+    """Quadrature values and trace pair (v^-, v^+) of a PiecewisePoly or a
+    callable."""
+    if isinstance(obj, PiecewisePoly):
+        return obj.values_at(quad), _traces(obj)
+    ends = np.broadcast_to(np.asarray(eval_fn(obj, mesh.nodes, mesh.offsets),
+                                      dtype=float), mesh.nodes.shape)
+    return element_values(obj, mesh, quad), (ends[1:], ends[:-1])
 
 
 def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
@@ -402,99 +395,66 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
 
     ``w`` is a triple (U, P, Q) of PiecewisePoly or plain callables (exact
     solutions are admitted for orthogonality checks); ``chi`` is a triple
-    (v, r, s) of PiecewisePoly, whose derivatives are taken exactly.
-    Jump convention: [v]_j = v_j^+ - v_j^- inside, [v]_0 = v_0^+,
-    [v]_N = -v_N^-.
+    (v, r, s) of PiecewisePoly, whose derivatives are taken exactly.  The
+    volume terms are integrated by quadrature and every node j = 0..N
+    contributes its ``flux_table`` entries times the test jumps [chi]_j of
+    ``PiecewisePoly.jumps``.
     """
     if quad is None:
         quad = gauss_quadrature(max(k + 3, 10))
-    big_u, big_p, big_q = w
     v, r, s = chi
-    for part in (v, r, s):
+    for part in chi:
         if not isinstance(part, PiecewisePoly):
             raise TypeError("test triple chi must consist of PiecewisePoly")
 
-    hw = 0.5 * mesh.widths[:, None] * quad.weights[None, :]
+    hw = element_weights(mesh, quad)
     x, _ = quad_points(mesh, quad)
-    aq = np.broadcast_to(np.asarray(problem.a(x), dtype=float), x.shape)
-    bq = np.broadcast_to(np.asarray(problem.b(x), dtype=float), x.shape)
-    cbq = np.broadcast_to(np.asarray(problem.c(x), dtype=float)
-                          - np.asarray(problem.bprime(x), dtype=float), x.shape)
+    aq, bq, cq, bpq = problem.at(x)
+    (u_vals, u_tr), (p_vals, p_tr), (q_vals, q_tr) = (
+        _on_mesh(part, mesh, quad) for part in w)
+    uhat, phat, qhat, ptilde, bu = flux_table(problem, mesh, u_tr, p_tr, q_tr)
+    an = problem.at(mesh.nodes)[0]
+    v_vals, r_vals, s_vals = (part.values_at(quad) for part in chi)
+    dv, dr, ds = (part.deriv_values_at(quad) for part in chi)
 
-    uu = _OnMesh(big_u, mesh, quad)
-    pp = _OnMesh(big_p, mesh, quad)
-    qq = _OnMesh(big_q, mesh, quad)
-    u_vals, p_vals, q_vals = uu.values(), pp.values(), qq.values()
-    v_vals, r_vals, s_vals = (p.values_at(quad) for p in (v, r, s))
-    dv, dr, ds = (p.deriv_values_at(quad) for p in (v, r, s))
+    def integ(fa: np.ndarray, fb: np.ndarray, weight=1.0) -> float:
+        return float((hw * weight * fa * fb).sum())
 
-    def integ(fa: np.ndarray, fb: np.ndarray, weight=None) -> float:
-        prod = fa * fb if weight is None else fa * fb * weight
-        return float((hw * prod).sum())
-
-    u_m, u_p = uu.trace_minus(), uu.trace_plus()
-    p_m, p_p = pp.trace_minus(), pp.trace_plus()
-    q_m, q_p = qq.trace_minus(), qq.trace_plus()
-    v_m, v_p = v.trace_minus_all(), v.trace_plus_all()
-    r_m, r_p = r.trace_minus_all(), r.trace_plus_all()
-    s_m, s_p = s.trace_minus_all(), s.trace_plus_all()
-
-    jump_v = v_p[1:] - v_m[:-1]   # interior nodes 1..N-1
-    jump_r = r_p[1:] - r_m[:-1]
-    jump_s = s_p[1:] - s_m[:-1]
-
-    an = np.broadcast_to(np.asarray(problem.a(mesh.nodes), dtype=float),
-                         mesh.nodes.shape)
-    bn = np.broadcast_to(np.asarray(problem.b(mesh.nodes), dtype=float),
-                         mesh.nodes.shape)
-    b_up = 0.5 * (bn + np.abs(bn))
-    b_dn = 0.5 * (bn - np.abs(bn))
-    inner = slice(1, mesh.n_elements)  # node indices 1..N-1
-
-    total = integ(p_vals, r_vals) + integ(u_vals, dr)
-    total += float((u_m[:-1] * jump_r).sum())
-
+    total = integ(p_vals, r_vals) + integ(u_vals, dr) + float(uhat @ r.jumps())
     total += integ(q_vals, s_vals)
-    total += problem.eps * (integ(p_vals, ds)
-                            + float((p_p[inner] * jump_s).sum())
-                            + p_p[0] * s_p[0])
-
-    total += -integ(q_vals, dv) - float((q_p[inner] * jump_v).sum())
-    total += q_m[-1] * v_m[-1] - q_p[0] * v_p[0]
-
-    total += integ(p_vals, dv, aq) + float((an[inner] * p_p[inner] * jump_v).sum())
-    total += -an[-1] * p_m[-1] * v_m[-1] + an[0] * p_p[0] * v_p[0]
-
-    total += integ(u_vals, v_vals, cbq) - integ(u_vals, dv, bq)
-    total -= float(((b_up[inner] * u_m[:-1] + b_dn[inner] * u_p[1:]) * jump_v).sum())
-    total += b_up[-1] * u_m[-1] * v_m[-1] - b_dn[0] * u_p[0] * v_p[0]
+    total += problem.eps * (integ(p_vals, ds) + float(phat @ s.jumps()))
+    total += (integ(p_vals, dv, aq) - integ(q_vals, dv) - integ(u_vals, dv, bq)
+              + integ(u_vals, v_vals, cq - bpq))
+    total += float((an * ptilde - qhat - bu) @ v.jumps())
     return total
+
+
+def energy_parts(problem: Problem, mesh: Mesh, quad: Quadrature,
+                 p_vals: np.ndarray, u_vals: np.ndarray, jumps_p: np.ndarray,
+                 jumps_u: np.ndarray) -> tuple[float, float, float, float]:
+    """The four squared terms of the scheme-induced energy norm,
+
+        eps/2 sum_j [P]_j^2,  ||a^(1/2) P||^2,  ||(c - b'/2)^(1/2) U||^2,
+        1/2 sum_j |b_j| [U]_j^2,
+
+    from quadrature values of P and U and their jumps at nodes j = 0..N.
+    """
+    hw = element_weights(mesh, quad)
+    aq, _, cq, bpq = problem.at(quad_points(mesh, quad)[0])
+    bn = problem.at(mesh.nodes)[1]
+    return (0.5 * problem.eps * float((jumps_p**2).sum()),
+            float((hw * aq * p_vals**2).sum()),
+            float((hw * (cq - 0.5 * bpq) * u_vals**2).sum()),
+            0.5 * float((np.abs(bn) * jumps_u**2).sum()))
 
 
 def energy_norm(w: LdgSolution, problem: Problem,
                 quad: Quadrature | None = None) -> float:
-    """Scheme-induced energy norm of a discrete triple.
-
-    |||W|||^2 = eps/2 sum_j [P]_j^2 + ||a^(1/2) P||^2
-                + ||(c - b'/2)^(1/2) U||^2 + 1/2 sum_j |b_j| [U]_j^2,
-
-    jumps running over all nodes j = 0..N with the boundary convention.
-    """
-    mesh = w.U.mesh
+    """Scheme-induced energy norm of a discrete triple: the root of the sum
+    of ``energy_parts``, jumps running over all nodes j = 0..N with the
+    boundary convention of ``PiecewisePoly.jumps``."""
     if quad is None:
         quad = gauss_quadrature(max(w.U.k + 3, 10))
-    hw = 0.5 * mesh.widths[:, None] * quad.weights[None, :]
-    x, _ = quad_points(mesh, quad)
-    aq = np.broadcast_to(np.asarray(problem.a(x), dtype=float), x.shape)
-    cbq = np.broadcast_to(np.asarray(problem.c(x), dtype=float)
-                          - 0.5 * np.asarray(problem.bprime(x), dtype=float),
-                          x.shape)
-    bn = np.broadcast_to(np.asarray(problem.b(mesh.nodes), dtype=float),
-                         mesh.nodes.shape)
-    p_vals = w.P.values_at(quad)
-    u_vals = w.U.values_at(quad)
-    total = 0.5 * problem.eps * float((w.P.jumps() ** 2).sum())
-    total += float((hw * aq * p_vals**2).sum())
-    total += float((hw * cbq * u_vals**2).sum())
-    total += 0.5 * float((np.abs(bn) * w.U.jumps() ** 2).sum())
-    return float(np.sqrt(total))
+    parts = energy_parts(problem, w.U.mesh, quad, w.P.values_at(quad),
+                         w.U.values_at(quad), w.P.jumps(), w.U.jumps())
+    return math.sqrt(sum(parts))

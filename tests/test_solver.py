@@ -208,17 +208,43 @@ def test_bilinear_form_zero_solution():
     assert bilinear_form(zero, chi, problem, mesh, k) == 0.0
 
 
-def test_bilinear_form_reproduces_discrete_equations():
+def _varying_problem(eps):
+    """b = x - 0.4 changes sign, so both upwind branches of bU are used."""
+    return Problem(a=lambda x: 1.0 + np.asarray(x), b=lambda x: np.asarray(x) - 0.4,
+                   bprime=_ones, c=lambda x: 2.0 + np.sin(x),
+                   f=lambda x: np.sin(2.0 * np.asarray(x)) + 1.5,
+                   eps=eps, alpha=1.0, gamma=1.0)
+
+
+_BILINEAR_CASES = [pytest.param("unit", MeshKind.SHISHKIN, 1, id="unit-s-k1")] + [
+    pytest.param("varying", kind, k, id=f"varying-{tag}-k{k}")
+    for kind, tag in ((None, "uniform"), (MeshKind.BAKHVALOV, "b"))
+    for k in range(4)]
+
+
+@pytest.mark.parametrize("problem_name, kind, k", _BILINEAR_CASES)
+def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, k):
     """B(W; chi) = <f, v> for every basis test triple: an independent
-    evaluation of the compact form against the assembled equations."""
-    mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 4, 0.05, 2.5))
-    k = 1
-    case_f = lambda x: np.sin(2.0 * np.asarray(x)) + 1.5
-    problem = unit_problem(0.05, case_f)
-    system = assemble(problem, mesh, k)
+    evaluation of the compact form against the assembled equations, and
+    B(W; e_i) against the matrix row (A x_W)_i.  The varying-coefficient
+    cases pass one quadrature to both sides."""
+    if problem_name == "unit":
+        mesh = build_mesh(MeshSpec(kind, 4, 0.05, 2.5))
+        case_f = lambda x: np.sin(2.0 * np.asarray(x)) + 1.5
+        problem = unit_problem(0.05, case_f)
+        quad_asm = quad_bf = None
+    else:
+        mesh = (uniform_mesh(6) if kind is None
+                else build_mesh(MeshSpec(kind, 6, 0.05, k + 1.5)))
+        problem = _varying_problem(0.05)
+        quad_asm = quad_bf = gauss_quadrature(k + 3)
+    system = assemble(problem, mesh, k, quad_asm)
     w = solve(system)
     triple = (w.U, w.P, w.Q)
     m = k + 1
+    x_w = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
+    a_x = system.matrix @ x_w
+    a_scale = abs(system.matrix).max() * np.abs(x_w).max()
     scale = max(np.abs(system.rhs).max(), 1.0)
     for e in range(mesh.n_elements):
         for field, name in ((0, "v"), (1, "r"), (2, "s")):
@@ -229,11 +255,11 @@ def test_bilinear_form_reproduces_discrete_equations():
                 zero = zero_poly(mesh, k)
                 chi = {"v": (basis, zero, zero), "r": (zero, basis, zero),
                        "s": (zero, zero, basis)}[name]
-                got = bilinear_form(triple, chi, problem, mesh, k)
+                got = bilinear_form(triple, chi, problem, mesh, k, quad_bf)
                 # rows are ordered (r-block, s-block, v-block) per element
-                row = {"r": 0, "s": 1, "v": 2}[name]
-                expected = system.rhs[3 * m * e + row * m + l]
-                assert got == pytest.approx(expected, abs=1e-10 * scale)
+                row = 3 * m * e + {"r": 0, "s": 1, "v": 2}[name] * m + l
+                assert got == pytest.approx(system.rhs[row], abs=1e-10 * scale)
+                assert abs(got - a_x[row]) <= 1e-14 * a_scale
 
 
 def test_energy_identity():

@@ -80,6 +80,15 @@ def test_determinism_byte_identical():
     assert a == b
 
 
+def test_acceptance_table_matches_reference_bytes():
+    """The 144-row acceptance sweep reproduces the benchmark's reference
+    CSV byte for byte, so any drift in the discrete operator shows here."""
+    reference = (Path(__file__).resolve().parent.parent / "perfbench"
+                 / "reference" / "acceptance.csv")
+    report = run_study(StudyConfig(eps_list=(1e-8, 1e-12), workers=1))
+    assert emit_table(report, "csv") == reference.read_text()
+
+
 def test_rate_column_consistency():
     """Recomputing r2 from the emitted error column reproduces the emitted
     rate column to the printed precision (double rounding allows 0.011)."""
