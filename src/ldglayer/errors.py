@@ -78,13 +78,17 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
     mesh = w.U.mesh
     hw = element_weights(mesh, quad)
+    x, omx = quad_points(mesh, quad)
 
-    eu = element_values(exact_u, mesh, quad) - w.U.values_at(quad)
-    ep = element_values(exact_p, mesh, quad) - w.P.values_at(quad)
-    eq = element_values(exact_q, mesh, quad) - w.Q.values_at(quad)
+    def misfit(exact_fn, v: PiecewisePoly) -> np.ndarray:
+        return np.asarray(eval_fn(exact_fn, x, omx), dtype=float) - v.values_at(quad)
+
+    eu = misfit(exact_u, w.U)
+    ep = misfit(exact_p, w.P)
+    eq = misfit(exact_q, w.Q)
     jumps_p = _error_jumps(exact_p, w.P)
     jumps_u = _error_jumps(exact_u, w.U)
-    parts = energy_parts(problem, mesh, quad, ep, eu, jumps_p, jumps_u)
+    parts = energy_parts(problem, mesh, hw, x, ep, eu, jumps_p, jumps_u)
 
     return ErrorRecord(
         energy=math.sqrt(sum(parts)),

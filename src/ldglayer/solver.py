@@ -19,13 +19,16 @@ boundary values chosen to enforce u(0) = u(1) = u'(1) = 0 weakly:
 fluxes against the jumps of the test functions.  ``assemble`` writes the
 same rules out a second time as matrix blocks, and ``bilinear_form``, which
 never looks at the matrix, is the independent oracle those blocks are tested
-against.  Coefficients are sampled only through ``Problem.at``, and the
-four terms of the energy norm live in ``energy_parts``.
+against.  Coefficients are sampled only through ``Problem.at`` (all four)
+or ``_sample`` (one), and the four terms of the energy norm live in
+``energy_parts``.
 
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
 element and is solved by a sparse direct LU factorisation with partial
-pivoting, followed by iterative refinement until the residual meets the
-advertised tolerance.
+pivoting, followed by extended-precision iterative refinement that stops once
+the residual meets the advertised tolerance or reaches the float64 rounding
+floor eps_mach * || |A| |x| ||_inf, below which no float64-stored solution
+can go.
 """
 
 from __future__ import annotations
@@ -87,9 +90,14 @@ class Problem:
 
     def at(self, x) -> tuple[np.ndarray, ...]:
         """Coefficients (a, b, c, b') at the points x, each of x's shape."""
-        x = np.asarray(x, dtype=float)
-        return tuple(np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-                     for fn in (self.a, self.b, self.c, self.bprime))
+        return tuple(_sample(fn, x) for fn in (self.a, self.b, self.c, self.bprime))
+
+
+def _sample(fn: Callable, x) -> np.ndarray:
+    """One coefficient at the points x, as a float array of x's shape; for
+    callers that need fewer than the four of ``Problem.at``."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
 
 
 def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +143,7 @@ def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
     1..N and v^+ at nodes 0..N-1.
     """
     (u_m, u_p), (p_m, p_p), (q_m, q_p) = u, p, q
-    b_up, b_dn = upwind_split(problem.at(mesh.nodes)[1])
+    b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
     zero = np.zeros(1)
     return (np.concatenate([zero, u_m[:-1], zero]),
             np.concatenate([p_p, zero]),
@@ -224,8 +232,8 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
                         p_tab, p_tab)
     mass_cb *= s[:, :, None] * s[:, None, :]
 
-    an, bn, _, _ = problem.at(mesh.nodes)
-    b_up, b_dn = upwind_split(bn)
+    an = _sample(problem.a, mesh.nodes)
+    b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
 
     rxr = _outer(right, right)
     lxl = _outer(left, left)
@@ -299,17 +307,27 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k)
 
 
+def _rounding_floor(a: sparse.csc_matrix, x: np.ndarray) -> float:
+    """eps_mach * || |A| |x| ||_inf, the residual that storing x in float64
+    leaves by itself.  |A| shares A's index arrays and lives only here."""
+    abs_a = sparse.csc_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
+    return float((abs_a @ np.abs(x)).max()) * float(np.finfo(float).eps)
+
+
 def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     """Direct sparse LU solve with partial pivoting and iterative refinement.
 
-    The residual is accumulated in extended precision: near the float64
-    rounding floor eps * ||A| |x||, a double-precision residual evaluation is
-    dominated by its own measurement noise, while refinement against the
-    extended-precision residual brings the returned float64 solution to a
-    true residual of about half that floor.
+    Refinement stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor), where
+    floor = eps_mach * || |A| |x| ||_inf: below the floor no float64-stored x
+    can carry a smaller residual, so further steps cannot pay.  Each of at
+    most ``max_refine`` steps corrects x against a residual accumulated in
+    extended precision (near the floor a double-precision residual is
+    dominated by its own rounding noise), then evaluates the rounded float64
+    iterate; the iterate with the smallest residual is returned.
 
     Raises RuntimeError if the factorisation hits a singular pivot or the
-    refined residual still exceeds RESIDUAL_RTOL * ||rhs||_inf.
+    residual exceeds the stricter of RESIDUAL_RTOL * ||rhs||_inf and four
+    times the floor.
     """
     a = system.matrix
     b = system.rhs
@@ -321,34 +339,33 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     x = lu.solve(b)
     b_inf = float(np.abs(b).max()) if b.size else 0.0
     target = RESIDUAL_RTOL * b_inf
+    floor = _rounding_floor(a, x)
+    stop = max(0.3 * target, floor)
 
-    # Fast path: a float64 residual comfortably inside the bound is
+    # Fast path: a float64 residual already at the stop threshold is
     # trustworthy (measurement noise only adds to it).
-    resid64 = b - a @ x
-    r_inf = float(np.abs(resid64).max())
+    r_inf = float(np.abs(b - a @ x).max())
     steps = 0
-    if r_inf > 0.3 * target:
+    if r_inf > stop:
         a_ld = a.astype(np.longdouble)
         b_ld = b.astype(np.longdouble)
         x_ld = x.astype(np.longdouble)
-        best_x, best_r = x, r_inf
-        while steps < max_refine:
-            resid_ld = b_ld - a_ld @ x_ld
-            x64 = np.asarray(x_ld, dtype=float)
-            r64 = float(np.abs(b_ld - a_ld @ x64.astype(np.longdouble)).max())
-            if r64 < best_r:
-                best_x, best_r = x64, r64
-            if best_r <= 0.3 * target:
-                break
+        resid_ld = b_ld - a_ld @ x_ld          # x_ld == x: also x's own residual
+        r_inf = min(r_inf, float(np.abs(resid_ld).max()))
+        while r_inf > stop and steps < max_refine:
+            if steps:
+                resid_ld = b_ld - a_ld @ x_ld
             x_ld = x_ld + lu.solve(np.asarray(resid_ld, dtype=float)).astype(np.longdouble)
             steps += 1
-        x, r_inf = best_x, best_r
+            x64 = np.asarray(x_ld, dtype=float)
+            r64 = float(np.abs(b_ld - a_ld @ x64.astype(np.longdouble)).max())
+            if r64 < r_inf:
+                x, r_inf = x64, r64
+        floor = _rounding_floor(a, x)
 
-    # Any float64-stored solution carries a residual of at least about
-    # eps_mach * || |A| |x| ||_inf from rounding x alone; below that the
-    # stated relative bound is unattainable regardless of solver.  Enforce
-    # the stricter of the relative bound and four times this floor.
-    floor = float((abs(a) @ np.abs(x)).max()) * float(np.finfo(float).eps)
+    # Below the floor the stated relative bound is unattainable regardless
+    # of solver.  Enforce the stricter of the relative bound and four times
+    # the floor.
     allowed = max(target, 4.0 * floor)
     if r_inf > allowed:
         raise RuntimeError(
@@ -413,7 +430,7 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
     (u_vals, u_tr), (p_vals, p_tr), (q_vals, q_tr) = (
         _on_mesh(part, mesh, quad) for part in w)
     uhat, phat, qhat, ptilde, bu = flux_table(problem, mesh, u_tr, p_tr, q_tr)
-    an = problem.at(mesh.nodes)[0]
+    an = _sample(problem.a, mesh.nodes)
     v_vals, r_vals, s_vals = (part.values_at(quad) for part in chi)
     dv, dr, ds = (part.deriv_values_at(quad) for part in chi)
 
@@ -429,7 +446,7 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
     return total
 
 
-def energy_parts(problem: Problem, mesh: Mesh, quad: Quadrature,
+def energy_parts(problem: Problem, mesh: Mesh, hw: np.ndarray, x: np.ndarray,
                  p_vals: np.ndarray, u_vals: np.ndarray, jumps_p: np.ndarray,
                  jumps_u: np.ndarray) -> tuple[float, float, float, float]:
     """The four squared terms of the scheme-induced energy norm,
@@ -437,14 +454,16 @@ def energy_parts(problem: Problem, mesh: Mesh, quad: Quadrature,
         eps/2 sum_j [P]_j^2,  ||a^(1/2) P||^2,  ||(c - b'/2)^(1/2) U||^2,
         1/2 sum_j |b_j| [U]_j^2,
 
-    from quadrature values of P and U and their jumps at nodes j = 0..N.
+    from values of P and U at the quadrature points x (weights hw, both as
+    given by ``element_weights`` and ``quad_points``) and their jumps at
+    nodes j = 0..N.
     """
-    hw = element_weights(mesh, quad)
-    aq, _, cq, bpq = problem.at(quad_points(mesh, quad)[0])
-    bn = problem.at(mesh.nodes)[1]
+    aq = _sample(problem.a, x)
+    c_half_bp = _sample(problem.c, x) - 0.5 * _sample(problem.bprime, x)
+    bn = _sample(problem.b, mesh.nodes)
     return (0.5 * problem.eps * float((jumps_p**2).sum()),
             float((hw * aq * p_vals**2).sum()),
-            float((hw * (cq - 0.5 * bpq) * u_vals**2).sum()),
+            float((hw * c_half_bp * u_vals**2).sum()),
             0.5 * float((np.abs(bn) * jumps_u**2).sum()))
 
 
@@ -455,6 +474,8 @@ def energy_norm(w: LdgSolution, problem: Problem,
     boundary convention of ``PiecewisePoly.jumps``."""
     if quad is None:
         quad = gauss_quadrature(max(w.U.k + 3, 10))
-    parts = energy_parts(problem, w.U.mesh, quad, w.P.values_at(quad),
+    mesh = w.U.mesh
+    parts = energy_parts(problem, mesh, element_weights(mesh, quad),
+                         quad_points(mesh, quad)[0], w.P.values_at(quad),
                          w.U.values_at(quad), w.P.jumps(), w.U.jumps())
     return math.sqrt(sum(parts))

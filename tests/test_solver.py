@@ -5,7 +5,7 @@ import pytest
 
 from ldglayer.basis import PiecewisePoly, gauss_quadrature, zero_poly
 from ldglayer.cases import boundary_layer_case, polynomial_case
-from ldglayer.errors import error_energy_norm
+from ldglayer.errors import error_energy_norm, error_record
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, uniform_mesh
 from ldglayer.solver import (Problem, assemble, bilinear_form, energy_norm,
                              flux_values, solve, solve_ldg)
@@ -184,6 +184,31 @@ def test_residual_invariant():
     assert np.abs(resid).max() <= 1e-10 * np.abs(system.rhs).max()
     assert w.info.residual_inf <= 1e-10 * w.info.rhs_inf
     assert np.isfinite(w.info.growth_factor)
+
+
+def test_refinement_reaches_the_rounding_floor():
+    """At scale the k = 3 error sits at the float64 rounding floor, which
+    only the refined solve reaches; plain float64 LU misses the bound by
+    about 10x, and refinement stops at the floor before max_refine."""
+    case = boundary_layer_case(1e-8)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 8192, 1e-8, 4.5))
+    system = assemble(case.problem, mesh, 3)
+    quad = gauss_quadrature(20)
+
+    def measure(w):
+        rec = error_record(case.exact_u, case.exact_p, case.exact_q, w,
+                           case.problem, quad)
+        return rec.l2_u, rec.l2_p
+
+    max_refine = 4
+    refined = solve(system, max_refine=max_refine)
+    l2_u, l2_p = measure(refined)
+    assert l2_u <= 1e-15 and l2_p <= 5e-15
+    assert 1 <= refined.info.refine_steps < max_refine
+
+    unrefined = solve(system, max_refine=0)
+    assert unrefined.info.refine_steps == 0
+    assert measure(unrefined)[0] > 1e-15
 
 
 def test_singular_system_raises():
