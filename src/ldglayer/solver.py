@@ -24,11 +24,16 @@ or ``_sample`` (one), and the four terms of the energy norm live in
 ``energy_parts``.
 
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
-element and is solved by a sparse direct LU factorisation with partial
-pivoting, followed by extended-precision iterative refinement that stops once
-the residual meets the advertised tolerance or reaches the float64 rounding
-floor eps_mach * || |A| |x| ||_inf, below which no float64-stored solution
-can go.
+element.  ``assemble`` writes its CSC arrays directly: column (c, field,
+mode) holds, in ascending row order, that mode's column of a fixed list of
+blocks of elements c-1, c and c+1, so the pattern follows from (N, k) alone
+and each block is copied once, transposed, into its slot.  The system is
+solved by a sparse direct LU factorisation with partial pivoting, followed
+by extended-precision iterative refinement that stops once the residual
+meets the advertised tolerance or reaches the float64 rounding floor
+eps_mach * || |A| |x| ||_inf, below which no float64-stored solution can go.
+The long-double residuals and the floor are accumulated by ``_matvec``,
+which converts A a chunk of columns at a time rather than copying it whole.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
+_MATVEC_CHUNK = 1 << 16     # columns of A converted at a time by _matvec
 _VALIDATION_GRID = 2001
 
 
@@ -263,55 +269,81 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     p_uu = lxr_prev
     p_qu = -b_up[1:-1, None, None] * lxr_prev
 
-    rows, cols, vals = [], [], []
-    l_grid, m_grid = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    l_flat, m_flat = l_grid.ravel(), m_grid.ravel()
-
-    def scatter(blocks: np.ndarray, elems: np.ndarray, row_field: int,
-                col_field: int, col_shift: int) -> None:
-        base_r = 3 * m * elems[:, None] + row_field * m + l_flat[None, :]
-        base_c = 3 * m * (elems + col_shift)[:, None] + col_field * m + m_flat[None, :]
-        rows.append(base_r.ravel())
-        cols.append(base_c.ravel())
-        vals.append(blocks.reshape(blocks.shape[0], -1).ravel())
-
-    all_e = np.arange(n)
-    head = np.arange(n - 1)      # elements with a right neighbour
-    tail = np.arange(1, n)       # elements with a left neighbour
-
-    scatter(a_uu, all_e, 0, 0, 0)
-    scatter(np.ascontiguousarray(a_up), all_e, 0, 1, 0)
-    scatter(b_pp, all_e, 1, 1, 0)
-    scatter(np.ascontiguousarray(b_pq), all_e, 1, 2, 0)
-    scatter(c_qq, all_e, 2, 2, 0)
-    scatter(c_qp, all_e, 2, 1, 0)
-    scatter(c_qu, all_e, 2, 0, 0)
-    if n > 1:
-        scatter(s_pp, head, 1, 1, +1)
-        scatter(s_qq, head, 2, 2, +1)
-        scatter(s_qp, head, 2, 1, +1)
-        scatter(s_qu, head, 2, 0, +1)
-        scatter(p_uu, tail, 0, 0, -1)
-        scatter(p_qu, tail, 2, 0, -1)
-
+    # Column (c, field, mode) holds that mode's column of these blocks in
+    # ascending row order, as (block, row element - c, row field).  Blocks
+    # of row element c-1 exist for c > 0 and those of c+1 for c < N-1; the
+    # neighbour arrays are indexed by c-1 (s_*) and by c (p_*).
+    fields = (
+        ((s_qu, -1, 2), (a_uu, 0, 0), (c_qu, 0, 2), (p_uu, 1, 0), (p_qu, 1, 2)),
+        ((s_pp, -1, 1), (s_qp, -1, 2), (a_up, 0, 0), (b_pp, 0, 1), (c_qp, 0, 2)),
+        ((s_qq, -1, 2), (b_pq, 0, 1), (c_qq, 0, 2)),
+    )
     dim = 3 * m * n
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim)).tocsc()
+    nnz = m * m * (13 * n - 6) if n > 1 else 7 * m * m
+    idx_dtype = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx_dtype)
+    col_counts = np.empty((n, 3), dtype=np.int64)
+
+    # Elements 0, 1..N-2 and N-1 each share one column pattern; every
+    # block is written transposed through a view of its contiguous slice.
+    groups = [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1)
+    start = 0
+    for lo, hi in groups:
+        present = {-1: lo > 0, 0: True, 1: hi < n}
+        per_field = [[blk for blk in blocks if present[blk[1]]] for blocks in fields]
+        col_counts[lo:hi] = [m * len(blocks) for blocks in per_field]
+        size = (hi - lo) * m * m * sum(len(blocks) for blocks in per_field)
+        region_d = data[start:start + size].reshape(hi - lo, -1)
+        region_i = indices[start:start + size].reshape(hi - lo, -1)
+        base = 3 * m * np.arange(lo, hi)[:, None, None]
+        offset = 0
+        for blocks in per_field:
+            width = m * len(blocks) * m
+            view_d = region_d[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
+            view_i = region_i[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
+            for slot, (blk, row_shift, row_field) in enumerate(blocks):
+                first = lo + min(row_shift, 0)
+                view_d[:, :, slot, :] = blk[first:first + hi - lo].transpose(0, 2, 1)
+                view_i[:, :, slot, :] = (base + 3 * m * row_shift + row_field * m
+                                         + np.arange(m))
+            offset += width
+        start += size
+
+    indptr = np.zeros(dim + 1, dtype=idx_dtype)
+    np.cumsum(np.repeat(col_counts.ravel(), m), out=indptr[1:])
+    matrix = sparse.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
     rhs = np.zeros(dim)
-    f_mom = element_moments(problem.f, mesh, k, quad)
-    rhs_idx = (3 * m * all_e[:, None] + 2 * m + np.arange(m)[None, :]).ravel()
-    rhs[rhs_idx] = f_mom.ravel()
+    rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
 
     return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k)
 
 
+def _matvec(a: sparse.csc_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """A @ x, or |A| @ x, accumulated in x's dtype without a copy of A.
+
+    A's values are converted to x's dtype one chunk of _MATVEC_CHUNK columns
+    at a time, and the products are added into y in CSC entry order: the
+    same per-row addition sequence as scipy's own CSC product, so the result
+    is bit-identical to ``a.astype(x.dtype) @ x``.
+    """
+    y = np.zeros(a.shape[0], dtype=x.dtype)
+    for c0 in range(0, a.shape[1], _MATVEC_CHUNK):
+        c1 = min(c0 + _MATVEC_CHUNK, a.shape[1])
+        lo, hi = a.indptr[c0], a.indptr[c1]
+        vals = a.data[lo:hi].astype(x.dtype)
+        if absolute:
+            np.abs(vals, out=vals)
+        vals *= np.repeat(x[c0:c1], np.diff(a.indptr[c0:c1 + 1]))
+        np.add.at(y, a.indices[lo:hi], vals)
+    return y
+
+
 def _rounding_floor(a: sparse.csc_matrix, x: np.ndarray) -> float:
     """eps_mach * || |A| |x| ||_inf, the residual that storing x in float64
-    leaves by itself.  |A| shares A's index arrays and lives only here."""
-    abs_a = sparse.csc_matrix((np.abs(a.data), a.indices, a.indptr), shape=a.shape)
-    return float((abs_a @ np.abs(x)).max()) * float(np.finfo(float).eps)
+    leaves by itself."""
+    return float(_matvec(a, np.abs(x), absolute=True).max()) * float(np.finfo(float).eps)
 
 
 def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
@@ -347,20 +379,20 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     r_inf = float(np.abs(b - a @ x).max())
     steps = 0
     if r_inf > stop:
-        a_ld = a.astype(np.longdouble)
         b_ld = b.astype(np.longdouble)
         x_ld = x.astype(np.longdouble)
-        resid_ld = b_ld - a_ld @ x_ld          # x_ld == x: also x's own residual
+        resid_ld = b_ld - _matvec(a, x_ld)     # x_ld == x: also x's own residual
         r_inf = min(r_inf, float(np.abs(resid_ld).max()))
         while r_inf > stop and steps < max_refine:
             if steps:
-                resid_ld = b_ld - a_ld @ x_ld
+                resid_ld = b_ld - _matvec(a, x_ld)
             x_ld = x_ld + lu.solve(np.asarray(resid_ld, dtype=float)).astype(np.longdouble)
             steps += 1
             x64 = np.asarray(x_ld, dtype=float)
-            r64 = float(np.abs(b_ld - a_ld @ x64.astype(np.longdouble)).max())
+            r64 = float(np.abs(b_ld - _matvec(a, x64.astype(np.longdouble))).max())
             if r64 < r_inf:
                 x, r_inf = x64, r64
+        del b_ld, x_ld, resid_ld
         floor = _rounding_floor(a, x)
 
     # Below the floor the stated relative bound is unattainable regardless

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ldglayer import solver
 from ldglayer.basis import PiecewisePoly, gauss_quadrature, zero_poly
 from ldglayer.cases import boundary_layer_case, polynomial_case
 from ldglayer.errors import error_energy_norm, error_record
@@ -93,6 +95,48 @@ def test_block_tridiagonal_sparsity():
     coo = system.matrix.tocoo()
     m = 3 * (k + 1)
     assert np.all(np.abs(coo.row // m - coo.col // m) <= 1)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_assembled_pattern(n, k):
+    """The CSC pattern is fixed by (N, k): 13 blocks per interior column
+    group, 9 and 11 at the two ends, 7 on a single element; indices are
+    sorted without duplicates, and both identity blocks of every element
+    are stored in full, explicit zeros included (they steer the LU column
+    ordering)."""
+    m = k + 1
+    matrix = assemble(_varying_problem(0.05), uniform_mesh(n), k).matrix
+    assert matrix.nnz == (m * m * (13 * n - 6) if n > 1 else 7 * m * m)
+    assert matrix.has_canonical_format
+    for e in range(n):
+        for row_field, col_field in ((0, 1), (1, 2)):
+            rows = 3 * m * e + row_field * m + np.arange(m)
+            for mode in range(m):
+                col = 3 * m * e + col_field * m + mode
+                span = slice(matrix.indptr[col], matrix.indptr[col + 1])
+                stored = matrix.indices[span]
+                pos = np.searchsorted(stored, rows)
+                assert np.array_equal(stored[pos], rows)
+                assert np.array_equal(matrix.data[span][pos], np.eye(m)[:, mode])
+    assert np.count_nonzero(matrix.data == 0.0) >= 2 * n * (m * m - m)
+
+
+def test_assembly_memory_is_bounded_by_the_output():
+    """Assembly writes the CSC arrays in place, so its traced peak stays
+    within 3x the bytes it returns."""
+    case = boundary_layer_case(1e-8)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
+    for k in (1, 3):
+        tracemalloc.start()
+        try:
+            system = assemble(case.problem, mesh, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a = system.matrix
+        out = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes + system.rhs.nbytes
+        assert peak <= 3 * out, (k, peak / out)
 
 
 def test_hand_assembled_two_element_k0_system():
@@ -211,6 +255,24 @@ def test_refinement_reaches_the_rounding_floor():
     assert measure(unrefined)[0] > 1e-15
 
 
+def test_chunked_matvec_is_bit_identical(monkeypatch):
+    """The extended residual and the rounding floor read A a few columns at
+    a time, yet add the same products in the same order as a full product
+    with a converted copy of A."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(6), 3)
+    a = system.matrix
+    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 5)
+    assert a.shape[1] > 10 * solver._MATVEC_CHUNK
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(a.shape[1])
+    x_ld = x.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
+    assert np.array_equal(solver._matvec(a, x_ld), a.astype(np.longdouble) @ x_ld)
+    assert np.array_equal(solver._matvec(a, x), a @ x)
+    abs_a = abs(a)
+    assert solver._rounding_floor(a, x) == (float((abs_a @ np.abs(x)).max())
+                                            * float(np.finfo(float).eps))
+
+
 def test_singular_system_raises():
     import scipy.sparse as sparse
     from ldglayer.solver import BlockSystem
@@ -241,26 +303,39 @@ def _varying_problem(eps):
                    eps=eps, alpha=1.0, gamma=1.0)
 
 
-_BILINEAR_CASES = [pytest.param("unit", MeshKind.SHISHKIN, 1, id="unit-s-k1")] + [
-    pytest.param("varying", kind, k, id=f"varying-{tag}-k{k}")
-    for kind, tag in ((None, "uniform"), (MeshKind.BAKHVALOV, "b"))
+_BILINEAR_CASES = [pytest.param("unit", MeshKind.SHISHKIN, 4, 1, id="unit-s-k1")] + [
+    pytest.param("varying", kind, n, k, id=f"varying-{tag}-k{k}")
+    for kind, tag, n in ((None, "uniform", 6), (MeshKind.BAKHVALOV, "b", 6),
+                         (None, "uniform1", 1), (None, "uniform2", 2))
     for k in range(4)]
 
 
-@pytest.mark.parametrize("problem_name, kind, k", _BILINEAR_CASES)
-def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, k):
+def _basis_triple(mesh, k, field, e, mode):
+    """(U, P, Q) triple, zero but for basis function ``mode`` of element e
+    in slot ``field``."""
+    coeffs = np.zeros((mesh.n_elements, k + 1))
+    coeffs[e, mode] = 1.0
+    triple = [zero_poly(mesh, k)] * 3
+    triple[field] = PiecewisePoly(mesh, k, coeffs)
+    return tuple(triple)
+
+
+@pytest.mark.parametrize("problem_name, kind, n, k", _BILINEAR_CASES)
+def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, n, k):
     """B(W; chi) = <f, v> for every basis test triple: an independent
     evaluation of the compact form against the assembled equations, and
     B(W; e_i) against the matrix row (A x_W)_i.  The varying-coefficient
-    cases pass one quadrature to both sides."""
+    cases pass one quadrature to both sides.  On one and two elements,
+    where every column is a first or last element column, each entry
+    A[i, j] is also checked against B(e_j; e_i)."""
     if problem_name == "unit":
-        mesh = build_mesh(MeshSpec(kind, 4, 0.05, 2.5))
+        mesh = build_mesh(MeshSpec(kind, n, 0.05, 2.5))
         case_f = lambda x: np.sin(2.0 * np.asarray(x)) + 1.5
         problem = unit_problem(0.05, case_f)
         quad_asm = quad_bf = None
     else:
-        mesh = (uniform_mesh(6) if kind is None
-                else build_mesh(MeshSpec(kind, 6, 0.05, k + 1.5)))
+        mesh = (uniform_mesh(n) if kind is None
+                else build_mesh(MeshSpec(kind, n, 0.05, k + 1.5)))
         problem = _varying_problem(0.05)
         quad_asm = quad_bf = gauss_quadrature(k + 3)
     system = assemble(problem, mesh, k, quad_asm)
@@ -269,22 +344,22 @@ def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, k):
     m = k + 1
     x_w = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
     a_x = system.matrix @ x_w
-    a_scale = abs(system.matrix).max() * np.abs(x_w).max()
+    a_max = abs(system.matrix).max()
+    a_scale = a_max * np.abs(x_w).max()
     scale = max(np.abs(system.rhs).max(), 1.0)
-    for e in range(mesh.n_elements):
-        for field, name in ((0, "v"), (1, "r"), (2, "s")):
-            for l in range(m):
-                coeffs = np.zeros((mesh.n_elements, m))
-                coeffs[e, l] = 1.0
-                basis = PiecewisePoly(mesh, k, coeffs)
-                zero = zero_poly(mesh, k)
-                chi = {"v": (basis, zero, zero), "r": (zero, basis, zero),
-                       "s": (zero, zero, basis)}[name]
-                got = bilinear_form(triple, chi, problem, mesh, k, quad_bf)
-                # rows are ordered (r-block, s-block, v-block) per element
-                row = 3 * m * e + {"r": 0, "s": 1, "v": 2}[name] * m + l
-                assert got == pytest.approx(system.rhs[row], abs=1e-10 * scale)
-                assert abs(got - a_x[row]) <= 1e-14 * a_scale
+    dense = system.matrix.toarray() if n <= 2 else None
+    # rows are ordered (r-block, s-block, v-block) per element: row field R
+    # tests against slot (R + 1) % 3 of the (v, r, s) triple
+    for row, (e, row_field, l) in enumerate(np.ndindex(n, 3, m)):
+        chi = _basis_triple(mesh, k, (row_field + 1) % 3, e, l)
+        got = bilinear_form(triple, chi, problem, mesh, k, quad_bf)
+        assert got == pytest.approx(system.rhs[row], abs=1e-10 * scale)
+        assert abs(got - a_x[row]) <= 1e-14 * a_scale
+        if dense is not None:
+            for col, (ec, col_field, mode) in enumerate(np.ndindex(n, 3, m)):
+                trial = _basis_triple(mesh, k, col_field, ec, mode)
+                entry = bilinear_form(trial, chi, problem, mesh, k, quad_bf)
+                assert abs(entry - dense[row, col]) <= 1e-14 * a_max
 
 
 def test_energy_identity():
