@@ -24,16 +24,31 @@ or ``_sample`` (one), and the four terms of the energy norm live in
 ``energy_parts``.
 
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
-element.  ``assemble`` writes its CSC arrays directly: column (c, field,
+element, and the coupling across each interior node has low rank: with r
+the right trace of the element before it and l the left trace of the one
+after, the upper block is X Y^T (rank 2, through P^+ and b_dn U^+ + Q^+)
+and the lower block Z R^T (rank 1, through U^-).  The a P^+ term of the
+flux is carried by X, not Y, so the two upper node unknowns do not both
+contain P^+: that choice leaves far fewer condensed solves above the
+refinement threshold.
+
+``assemble`` builds the per-element diagonal blocks D and these node
+factors first, and writes the CSC arrays of A from them: column (c, field,
 mode) holds, in ascending row order, that mode's column of a fixed list of
 blocks of elements c-1, c and c+1, so the pattern follows from (N, k) alone
-and each block is copied once, transposed, into its slot.  The system is
-solved by a sparse direct LU factorisation with partial pivoting, followed
-by extended-precision iterative refinement that stops once the residual
-meets the advertised tolerance or reaches the float64 rounding floor
-eps_mach * || |A| |x| ||_inf, below which no float64-stored solution can go.
-The long-double residuals and the floor are accumulated by ``_matvec``,
-which converts A a chunk of columns at a time rather than copying it whole.
+and each block is written once, transposed, into its slot (a coupling
+block as the product of its node factors).
+
+``solve`` condenses statically: it eliminates each element's unknowns with
+one batched local solve, factors only the block-tridiagonal trace system
+of 3(N-1) node unknowns (whatever k is) with a sparse LU with partial
+pivoting, and recovers the element unknowns from the node values.  It then
+runs extended-precision iterative refinement against the assembled A, which
+stops once the residual meets the advertised tolerance or reaches the
+float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
+float64-stored solution can go.  The long-double residuals and the floor
+are accumulated by ``_matvec``, which converts A a chunk of columns at a
+time rather than copying it whole.
 """
 
 from __future__ import annotations
@@ -113,7 +128,12 @@ def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Direct-solve diagnostics."""
+    """Direct-solve diagnostics.
+
+    ``growth_factor`` is max|U_S| / max|S| for the LU factor U_S of the
+    condensed trace system S, the only matrix the sparse LU sees; it is 0
+    for N = 1, where there is no trace system.
+    """
 
     residual_inf: float
     rhs_inf: float
@@ -178,12 +198,23 @@ class BlockSystem:
     Unknown ordering: element by element, each contributing k+1 U
     coefficients, then k+1 P, then k+1 Q.  Rows follow the same layout with
     the U-equation, P-equation and Q-equation row groups.
+
+    ``matrix`` is also held in block form, from which ``assemble`` wrote it:
+    ``diag[e]`` is element e's (3(k+1), 3(k+1)) diagonal block, and at each
+    interior node e+1 (index e = 0..N-2) the coupling of element e's rows to
+    element e+1's columns is ``node_x[e] @ node_y[e].T`` and that of element
+    e+1's rows to element e's columns is ``node_z[e] @ node_r[e].T``.
     """
 
     matrix: sparse.csc_matrix
     rhs: np.ndarray
     mesh: Mesh
     k: int
+    diag: np.ndarray        # (N, 3(k+1), 3(k+1))
+    node_x: np.ndarray      # (N-1, 3(k+1), 2), rows of element e
+    node_y: np.ndarray      # (N-1, 3(k+1), 2), columns of element e+1
+    node_z: np.ndarray      # (N-1, 3(k+1), 1), rows of element e+1
+    node_r: np.ndarray      # (N-1, 3(k+1), 1), columns of element e
 
     def dump_coo(self) -> str:
         """'row col value' per line (debugging aid)."""
@@ -225,7 +256,6 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     s = basis_scale(h, k)                                        # (n, m)
     right = s
     left = s * ((-1.0) ** np.arange(m))[None, :]
-    eye = np.broadcast_to(np.eye(m), (n, m, m))
 
     # <coeff * trial_m, test_l'>; the h factors cancel into the s scales.
     d_a = np.einsum("eq,lq,mq->elm", wq[None, :] * aq, dp_tab, p_tab)
@@ -243,41 +273,47 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
 
     rxr = _outer(right, right)
     lxl = _outer(left, left)
-    rxl_next = _outer(right[:-1], left[1:])   # node e+1, elements e -> e+1
-    lxr_prev = _outer(left[1:], right[:-1])   # node e,   elements e -> e-1
 
-    # Diagonal blocks (element e tested against its own unknowns).
-    a_uu = d_one.copy()
-    a_uu[:-1] -= rxr[:-1]                      # Uhat_N = 0 drops the last one
-    a_up = eye
-    b_pp = eps * (d_one + lxl)
-    b_pq = eye
-    c_qq = -d_one - lxl
-    c_qq[-1] = c_qq[-1] + rxr[-1]              # Qhat_N = Q_N^-
-    c_qp = d_a + an[:-1, None, None] * lxl
-    c_qp[-1] = c_qp[-1] - an[-1] * rxr[-1]     # Ptilde_N = P_N^-
-    c_qu = (-d_b + mass_cb + b_up[1:, None, None] * rxr
-            - b_dn[:-1, None, None] * lxl)
+    # Diagonal blocks (element e tested against its own unknowns), indexed
+    # (element, row field, row mode, column field, column mode).
+    diag = np.zeros((n, 3, m, 3, m))
+    diag[:, 0, :, 0] = d_one
+    diag[:-1, 0, :, 0] -= rxr[:-1]             # Uhat_N = 0 drops the last one
+    diag[:, 0, :, 1] = np.eye(m)
+    diag[:, 1, :, 1] = eps * (d_one + lxl)
+    diag[:, 1, :, 2] = np.eye(m)
+    diag[:, 2, :, 0] = (-d_b + mass_cb + b_up[1:, None, None] * rxr
+                        - b_dn[:-1, None, None] * lxl)
+    diag[:, 2, :, 1] = d_a + an[:-1, None, None] * lxl
+    diag[-1, 2, :, 1] -= an[-1] * rxr[-1]      # Ptilde_N = P_N^-
+    diag[:, 2, :, 2] = -d_one - lxl
+    diag[-1, 2, :, 2] += rxr[-1]               # Qhat_N = Q_N^-
 
-    # Couplings to the right neighbour (interior node j = e+1).
-    s_pp = -eps * rxl_next
-    s_qq = rxl_next
-    s_qp = -an[1:-1, None, None] * rxl_next
-    s_qu = b_dn[1:-1, None, None] * rxl_next
-
-    # Couplings to the left neighbour (interior node j = e).
-    p_uu = lxr_prev
-    p_qu = -b_up[1:-1, None, None] * lxr_prev
+    # Node factors at interior node e+1: rows e x columns e+1 is X Y^T and
+    # rows e+1 x columns e is Z R^T, with r = element e's right trace and
+    # l = element e+1's left trace.
+    r_e, l_e = right[:-1], left[1:]
+    node_x = np.zeros((n - 1, 3, m, 2))
+    node_x[:, 1, :, 0] = -eps * r_e
+    node_x[:, 2, :, 0] = -an[1:-1, None] * r_e
+    node_x[:, 2, :, 1] = r_e
+    node_y = np.zeros((n - 1, 3, m, 2))
+    node_y[:, 1, :, 0] = l_e
+    node_y[:, 0, :, 1] = b_dn[1:-1, None] * l_e
+    node_y[:, 2, :, 1] = l_e
+    node_z = np.zeros((n - 1, 3, m, 1))
+    node_z[:, 0, :, 0] = l_e
+    node_z[:, 2, :, 0] = -b_up[1:-1, None] * l_e
+    node_r = np.zeros((n - 1, 3, m, 1))
+    node_r[:, 0, :, 0] = r_e
 
     # Column (c, field, mode) holds that mode's column of these blocks in
-    # ascending row order, as (block, row element - c, row field).  Blocks
-    # of row element c-1 exist for c > 0 and those of c+1 for c < N-1; the
-    # neighbour arrays are indexed by c-1 (s_*) and by c (p_*).
-    fields = (
-        ((s_qu, -1, 2), (a_uu, 0, 0), (c_qu, 0, 2), (p_uu, 1, 0), (p_qu, 1, 2)),
-        ((s_pp, -1, 1), (s_qp, -1, 2), (a_up, 0, 0), (b_pp, 0, 1), (c_qp, 0, 2)),
-        ((s_qq, -1, 2), (b_pq, 0, 1), (c_qq, 0, 2)),
-    )
+    # ascending row order, as (row element - c, row field): D for row
+    # element c, X Y^T of node c-1 for row element c-1 (c > 0) and Z R^T of
+    # node c for row element c+1 (c < N-1).
+    fields = (((-1, 2), (0, 0), (0, 2), (1, 0), (1, 2)),
+              ((-1, 1), (-1, 2), (0, 0), (0, 1), (0, 2)),
+              ((-1, 2), (0, 1), (0, 2)))
     dim = 3 * m * n
     nnz = m * m * (13 * n - 6) if n > 1 else 7 * m * m
     idx_dtype = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
@@ -286,27 +322,33 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     col_counts = np.empty((n, 3), dtype=np.int64)
 
     # Elements 0, 1..N-2 and N-1 each share one column pattern; every
-    # block is written transposed through a view of its contiguous slice.
+    # block is written transposed, straight into a view of its contiguous
+    # slice (a coupling block as the product of its node factors).
     groups = [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1)
     start = 0
     for lo, hi in groups:
         present = {-1: lo > 0, 0: True, 1: hi < n}
-        per_field = [[blk for blk in blocks if present[blk[1]]] for blocks in fields]
+        per_field = [[blk for blk in blocks if present[blk[0]]] for blocks in fields]
         col_counts[lo:hi] = [m * len(blocks) for blocks in per_field]
         size = (hi - lo) * m * m * sum(len(blocks) for blocks in per_field)
         region_d = data[start:start + size].reshape(hi - lo, -1)
         region_i = indices[start:start + size].reshape(hi - lo, -1)
-        base = 3 * m * np.arange(lo, hi)[:, None, None]
+        base = 3 * m * np.arange(lo, hi)[:, None, None, None]
         offset = 0
-        for blocks in per_field:
+        for col_field, blocks in enumerate(per_field):
             width = m * len(blocks) * m
             view_d = region_d[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
             view_i = region_i[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
-            for slot, (blk, row_shift, row_field) in enumerate(blocks):
-                first = lo + min(row_shift, 0)
-                view_d[:, :, slot, :] = blk[first:first + hi - lo].transpose(0, 2, 1)
-                view_i[:, :, slot, :] = (base + 3 * m * row_shift + row_field * m
-                                         + np.arange(m))
+            for slot, (row_shift, row_field) in enumerate(blocks):
+                part = slice(lo + min(row_shift, 0), hi + min(row_shift, 0))
+                if row_shift == 0:
+                    view_d[:, :, slot, :] = diag[part, row_field, :, col_field].transpose(0, 2, 1)
+                else:
+                    f, g = (node_x, node_y) if row_shift < 0 else (node_z, node_r)
+                    np.matmul(g[part, col_field], f[part, row_field].transpose(0, 2, 1),
+                              out=view_d[:, :, slot, :])
+            first_rows = [3 * m * row_shift + row_field * m for row_shift, row_field in blocks]
+            view_i[...] = base + np.add.outer(first_rows, np.arange(m))
             offset += width
         start += size
 
@@ -317,7 +359,12 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     rhs = np.zeros(dim)
     rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
 
-    return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k)
+    return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k,
+                       diag=diag.reshape(n, 3 * m, 3 * m),
+                       node_x=node_x.reshape(n - 1, 3 * m, 2),
+                       node_y=node_y.reshape(n - 1, 3 * m, 2),
+                       node_z=node_z.reshape(n - 1, 3 * m, 1),
+                       node_r=node_r.reshape(n - 1, 3 * m, 1))
 
 
 def _matvec(a: sparse.csc_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
@@ -346,29 +393,129 @@ def _rounding_floor(a: sparse.csc_matrix, x: np.ndarray) -> float:
     return float(_matvec(a, np.abs(x), absolute=True).max()) * float(np.finfo(float).eps)
 
 
+class _Condensed:
+    """A = D + X Y^T + Z R^T solved by static condensation onto the nodes.
+
+    With t = [Y R]^T x, the three node unknowns (P^+, b_dn U^+ + Q^+, U^-)
+    at each interior node solve the block-tridiagonal trace system
+    S t = [Y R]^T D^-1 b, S = I + [Y R]^T D^-1 [X Z], and
+    x = D^-1 b - D^-1 [X Z] t.  ``solve`` repeats this for a new right-hand
+    side, so refinement steps reuse the local blocks and the LU of S.
+    """
+
+    def __init__(self, system: BlockSystem) -> None:
+        self.diag, self.node_y, self.node_r = system.diag, system.node_y, system.node_r
+        n, width = self.diag.shape[:2]
+        # One batched local solve gives D^-1 X, D^-1 Z and D^-1 b together;
+        # X of node e sits in element e, Z in element e+1.
+        local = np.zeros((n, width, 4))
+        local[:-1, :, :2] = system.node_x
+        local[1:, :, 2:3] = system.node_z
+        local[:, :, 3] = system.rhs.reshape(n, width)
+        try:
+            sol = np.linalg.solve(self.diag, local)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"singular LDG system: local block: {exc}") from exc
+        self.dx, self.dz = sol[:, :, :2], sol[:, :, 2]
+        traces = self._node_traces(sol[:, :, :3])
+        self.lu = None
+        self.growth = 0.0
+        if n > 1:
+            s = _trace_matrix(traces)
+            # S is block tridiagonal in node order, so the natural column
+            # order already gives COLAMD's fill without the ordering pass.
+            try:
+                self.lu = splu(s, permc_spec="NATURAL")
+            except RuntimeError as exc:
+                raise RuntimeError(f"singular LDG system: {exc}") from exc
+            self.growth = float(np.abs(self.lu.U.data).max() / np.abs(s.data).max())
+        self.x = self._back_substitute(sol[:, :, 3])
+
+    def _node_traces(self, w: np.ndarray) -> np.ndarray:
+        """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for local fields
+        w of shape (N, 3(k+1), c), as (N-1, 3, c)."""
+        return np.concatenate([self.node_y.transpose(0, 2, 1) @ w[1:],
+                               self.node_r.transpose(0, 2, 1) @ w[:-1]], axis=1)
+
+    def _back_substitute(self, local: np.ndarray) -> np.ndarray:
+        """x = D^-1 b - D^-1 [X Z] t from local = D^-1 b, shape (N, 3(k+1))."""
+        x = local.copy()
+        if self.lu is not None:
+            t = self.lu.solve(self._node_traces(local[:, :, None]).ravel()).reshape(-1, 3)
+            x[:-1] -= (self.dx[:-1] @ t[:, :2, None])[:, :, 0]
+            x[1:] -= self.dz[1:] * t[:, 2:]
+        return x.ravel()
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        local = np.linalg.solve(self.diag, rhs.reshape(*self.diag.shape[:2], 1))
+        return self._back_substitute(local[:, :, 0])
+
+
+def _trace_matrix(t: np.ndarray) -> sparse.csc_matrix:
+    """S = I + [Y R]^T D^-1 [X Z] from the node traces t of D^-1 [X Z].
+
+    Node e's unknowns are 3e, 3e+1 (the Y part) and 3e+2 (the R part).
+    ``t[e, :, c]`` is [Y_e^T (D^-1 X)_{e+1}; R_e^T (D^-1 X)_e] for c = 0, 1
+    and [Y_e^T (D^-1 Z)_{e+1}; R_e^T (D^-1 Z)_e] for c = 2, so the Y rows of
+    node e reach the Y columns of node e+1, and its R row the R column of
+    node e-1.  Each column holds four slots in ascending row order; only the
+    first node's two Y columns (no rows above) and the last node's R column
+    (no row below) drop slots.
+    """
+    n_nodes = t.shape[0]
+    dim = 3 * n_nodes
+    rows = 3 * np.arange(n_nodes)[:, None, None] + np.array(
+        [[-3, -2, 0, 2], [-3, -2, 1, 2], [0, 1, 2, 5]])
+    vals = np.zeros((n_nodes, 3, 4))
+    vals[1:, :2, :2] = t[:-1, :2, :2].transpose(0, 2, 1)
+    vals[:, :, 2] = 1.0
+    vals[:, :2, 3] = t[:, 2, :2]
+    vals[:, 2, :2] = t[:, :2, 2]
+    vals[:-1, 2, 3] = t[1:, 2, 2]
+    counts = np.full(dim, 4)
+    counts[:2], counts[-1] = 2, 3
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    rows, vals = rows.ravel(), vals.ravel()
+    return sparse.csc_matrix((np.concatenate([vals[2:4], vals[6:-1]]),
+                              np.concatenate([rows[2:4], rows[6:-1]]), indptr),
+                             shape=(dim, dim))
+
+
 def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
-    """Direct sparse LU solve with partial pivoting and iterative refinement.
+    """Direct solve by static condensation with iterative refinement.
 
-    Refinement stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor), where
-    floor = eps_mach * || |A| |x| ||_inf: below the floor no float64-stored x
-    can carry a smaller residual, so further steps cannot pay.  Each of at
-    most ``max_refine`` steps corrects x against a residual accumulated in
-    extended precision (near the floor a double-precision residual is
-    dominated by its own rounding noise), then evaluates the rounded float64
-    iterate; the iterate with the smallest residual is returned.
+    Each element's 3(k+1) unknowns are eliminated locally.  The couplings
+    across an interior node are X Y^T and Z R^T (``BlockSystem``), of rank
+    2 and 1, so with D the block diagonal the node unknowns t = [Y R]^T x,
+    that is (P^+, b_dn U^+ + Q^+, U^-), at the N-1 interior nodes
+    solve a block-tridiagonal system of 3(N-1) unknowns, whatever k is, and
+    x = D^-1 b - D^-1 [X Z] t follows element by element.  Only that trace
+    system goes to the sparse LU (partial pivoting); N = 1 has no nodes,
+    and x = D^-1 b.  The condensed operator is A exactly, since ``assemble``
+    wrote A's couplings as products of the same node factors.
 
-    Raises RuntimeError if the factorisation hits a singular pivot or the
-    residual exceeds the stricter of RESIDUAL_RTOL * ||rhs||_inf and four
-    times the floor.
+    Refinement still measures every residual against the assembled A, not
+    the condensed system: the local solves round differently from a global
+    LU of A, and the residual and floor of A are what the result is
+    checked against.  It stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor),
+    where floor = eps_mach * || |A| |x| ||_inf: below the floor no
+    float64-stored x can carry a smaller residual, so further steps cannot
+    pay.  Each of at most ``max_refine`` steps corrects x against a residual
+    accumulated in extended precision (near the floor a double-precision
+    residual is dominated by its own rounding noise), then evaluates the
+    rounded float64 iterate; the iterate with the smallest residual is
+    returned.
+
+    Raises RuntimeError if a local block or the trace system is singular,
+    or if the residual exceeds the stricter of RESIDUAL_RTOL * ||rhs||_inf
+    and four times the floor.
     """
     a = system.matrix
     b = system.rhs
-    try:
-        lu = splu(a)
-    except RuntimeError as exc:
-        raise RuntimeError(f"singular LDG system: {exc}") from exc
+    lu = _Condensed(system)
 
-    x = lu.solve(b)
+    x = lu.x
     b_inf = float(np.abs(b).max()) if b.size else 0.0
     target = RESIDUAL_RTOL * b_inf
     floor = _rounding_floor(a, x)
@@ -405,8 +552,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             f"(and the float64 floor {floor:.3e})"
         )
 
-    growth = float(np.abs(lu.U.data).max() / np.abs(a.data).max()) if a.nnz else 0.0
-    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=growth,
+    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=lu.growth,
                      refine_steps=steps)
 
     m = system.k + 1

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import spsolve
 
 from ldglayer import solver
 from ldglayer.basis import PiecewisePoly, gauss_quadrature, zero_poly
@@ -103,8 +106,7 @@ def test_assembled_pattern(n, k):
     """The CSC pattern is fixed by (N, k): 13 blocks per interior column
     group, 9 and 11 at the two ends, 7 on a single element; indices are
     sorted without duplicates, and both identity blocks of every element
-    are stored in full, explicit zeros included (they steer the LU column
-    ordering)."""
+    are stored in full, explicit zeros included."""
     m = k + 1
     matrix = assemble(_varying_problem(0.05), uniform_mesh(n), k).matrix
     assert matrix.nnz == (m * m * (13 * n - 6) if n > 1 else 7 * m * m)
@@ -124,7 +126,8 @@ def test_assembled_pattern(n, k):
 
 def test_assembly_memory_is_bounded_by_the_output():
     """Assembly writes the CSC arrays in place, so its traced peak stays
-    within 3x the bytes it returns."""
+    within 3x the bytes it returns: the CSC arrays, the rhs and the block
+    form."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -135,7 +138,9 @@ def test_assembly_memory_is_bounded_by_the_output():
         finally:
             tracemalloc.stop()
         a = system.matrix
-        out = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes + system.rhs.nbytes
+        out = sum(arr.nbytes for arr in (a.data, a.indices, a.indptr, system.rhs,
+                                         system.diag, system.node_x, system.node_y,
+                                         system.node_z, system.node_r))
         assert peak <= 3 * out, (k, peak / out)
 
 
@@ -273,13 +278,43 @@ def test_chunked_matvec_is_bit_identical(monkeypatch):
                                             * float(np.finfo(float).eps))
 
 
+def _singular_trace_system():
+    """N = 2, k = 0 with D = I and rank-one couplings X Y^T = Z R^T = e_0 e_0^T,
+    so S = I + [Y R]^T [X Z] and A = D + X Y^T + Z R^T are both singular."""
+    e0 = np.eye(3)[:, :1]
+    node_x = np.concatenate([e0, np.zeros((3, 1))], axis=1)[None]
+    dense = np.eye(6)
+    dense[:3, 3:] += node_x[0] @ node_x[0].T
+    dense[3:, :3] += e0 @ e0.T
+    return solver.BlockSystem(matrix=sparse.csc_matrix(dense), rhs=np.ones(6),
+                              mesh=uniform_mesh(2), k=0, diag=np.stack([np.eye(3)] * 2),
+                              node_x=node_x, node_y=node_x.copy(),
+                              node_z=e0[None].copy(), node_r=e0[None].copy())
+
+
+def _singular_local_block():
+    """The regular N = 3 system with one row of the second element's
+    diagonal block zeroed: condensation needs every local block to be
+    invertible."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(3), 1)
+    diag = system.diag.copy()
+    diag[1, 0, :] = 0.0
+    return dataclasses.replace(system, diag=diag)
+
+
+def _zero_system():
+    return solver.BlockSystem(matrix=sparse.csc_matrix((3, 3)), rhs=np.ones(3),
+                              mesh=uniform_mesh(1), k=0, diag=np.zeros((1, 3, 3)),
+                              node_x=np.zeros((0, 3, 2)), node_y=np.zeros((0, 3, 2)),
+                              node_z=np.zeros((0, 3, 1)), node_r=np.zeros((0, 3, 1)))
+
+
 def test_singular_system_raises():
-    import scipy.sparse as sparse
-    from ldglayer.solver import BlockSystem
-    bad = BlockSystem(matrix=sparse.csc_matrix((3, 3)), rhs=np.ones(3),
-                      mesh=uniform_mesh(1), k=0)
-    with pytest.raises(RuntimeError):
-        solve(bad)
+    """A zero system, one singular local block in a regular system, and a
+    singular trace system each raise instead of returning garbage."""
+    for build in (_zero_system, _singular_local_block, _singular_trace_system):
+        with pytest.raises(RuntimeError, match="singular LDG system"):
+            solve(build())
 
 
 # -- bilinear form ---------------------------------------------------------
@@ -320,6 +355,48 @@ def _basis_triple(mesh, k, field, e, mode):
     return tuple(triple)
 
 
+def _bilinear_setup(problem_name, kind, n, k):
+    """(problem, mesh, quadrature) of a ``_BILINEAR_CASES`` entry."""
+    if problem_name == "unit":
+        mesh = build_mesh(MeshSpec(kind, n, 0.05, 2.5))
+        return unit_problem(0.05, lambda x: np.sin(2.0 * np.asarray(x)) + 1.5), mesh, None
+    mesh = (uniform_mesh(n) if kind is None
+            else build_mesh(MeshSpec(kind, n, 0.05, k + 1.5)))
+    return _varying_problem(0.05), mesh, gauss_quadrature(k + 3)
+
+
+@pytest.mark.parametrize("problem_name, kind, n, k", _BILINEAR_CASES)
+def test_block_form_matches_matrix(problem_name, kind, n, k):
+    """The diagonal blocks and the node products X Y^T, Z R^T that the
+    condensed solve works from rebuild the assembled matrix bit for bit."""
+    problem, mesh, quad = _bilinear_setup(problem_name, kind, n, k)
+    system = assemble(problem, mesh, k, quad)
+    width = 3 * (k + 1)
+    rebuilt = np.zeros((n * width, n * width))
+    for e in range(n):
+        rebuilt[e * width:(e + 1) * width, e * width:(e + 1) * width] = system.diag[e]
+    for e in range(n - 1):
+        here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
+        rebuilt[here, there] = system.node_x[e] @ system.node_y[e].T
+        rebuilt[there, here] = system.node_z[e] @ system.node_r[e].T
+    assert np.array_equal(rebuilt, system.matrix.toarray())
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("n, kind", [(1, None), (2, None), (3, None), (5, None),
+                                     (6, MeshKind.BAKHVALOV)])
+def test_condensed_solve_matches_direct_reference(n, kind, k):
+    """Without refinement, the condensed solve agrees with a sparse direct
+    solve of the assembled matrix; N = 1 and 2 give an empty and a one-node
+    trace system."""
+    problem, mesh, quad = _bilinear_setup("varying", kind, n, k)
+    system = assemble(problem, mesh, k, quad)
+    w = solve(system, max_refine=0)
+    x = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
+    reference = spsolve(system.matrix, system.rhs)
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 @pytest.mark.parametrize("problem_name, kind, n, k", _BILINEAR_CASES)
 def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, n, k):
     """B(W; chi) = <f, v> for every basis test triple: an independent
@@ -328,17 +405,8 @@ def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, n, k):
     cases pass one quadrature to both sides.  On one and two elements,
     where every column is a first or last element column, each entry
     A[i, j] is also checked against B(e_j; e_i)."""
-    if problem_name == "unit":
-        mesh = build_mesh(MeshSpec(kind, n, 0.05, 2.5))
-        case_f = lambda x: np.sin(2.0 * np.asarray(x)) + 1.5
-        problem = unit_problem(0.05, case_f)
-        quad_asm = quad_bf = None
-    else:
-        mesh = (uniform_mesh(n) if kind is None
-                else build_mesh(MeshSpec(kind, n, 0.05, k + 1.5)))
-        problem = _varying_problem(0.05)
-        quad_asm = quad_bf = gauss_quadrature(k + 3)
-    system = assemble(problem, mesh, k, quad_asm)
+    problem, mesh, quad_bf = _bilinear_setup(problem_name, kind, n, k)
+    system = assemble(problem, mesh, k, quad_bf)
     w = solve(system)
     triple = (w.U, w.P, w.Q)
     m = k + 1
