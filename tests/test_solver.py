@@ -237,8 +237,9 @@ def test_residual_invariant():
 
 def test_refinement_reaches_the_rounding_floor():
     """At scale the k = 3 error sits at the float64 rounding floor, which
-    only the refined solve reaches; plain float64 LU misses the bound by
-    about 10x, and refinement stops at the floor before max_refine."""
+    only the refined solve reaches: the unrefined condensed solve leaves
+    l2u at 1.9e-13, about 190x the bound, and one refinement step brings it
+    to 1.6e-16, stopping at the floor before max_refine."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 8192, 1e-8, 4.5))
     system = assemble(case.problem, mesh, 3)
@@ -276,6 +277,51 @@ def test_chunked_matvec_is_bit_identical(monkeypatch):
     abs_a = abs(a)
     assert solver._rounding_floor(a, x) == (float((abs_a @ np.abs(x)).max())
                                             * float(np.finfo(float).eps))
+
+
+def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
+    """_matvec and _rounding_floor equal scipy's product bit for bit with
+    int64 index arrays (what ``assemble`` writes above 2**31 entries), with
+    |A| times a long-double x, and with a last chunk shorter than the rest."""
+    a = assemble(_varying_problem(0.05), uniform_mesh(6), 3).matrix
+    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
+    assert a.shape[1] % solver._MATVEC_CHUNK != 0
+    wide = a.copy()
+    # scipy stores small index arrays as int32 on construction, so widen after.
+    wide.indptr = wide.indptr.astype(np.int64)
+    wide.indices = wide.indices.astype(np.int64)
+    assert wide.indptr.dtype == wide.indices.dtype == np.int64
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(a.shape[1])
+    x_ld = x.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
+    a_ld, abs_a = a.astype(np.longdouble), abs(a)
+    floor = float((abs_a @ np.abs(x)).max()) * float(np.finfo(float).eps)
+    for m in (a, wide):
+        assert np.array_equal(solver._matvec(m, x_ld), a_ld @ x_ld)
+        assert np.array_equal(solver._matvec(m, x_ld, absolute=True), abs(a_ld) @ x_ld)
+        assert np.array_equal(solver._matvec(m, x, absolute=True), abs_a @ x)
+        assert solver._rounding_floor(m, x) == floor
+
+
+def test_matvec_memory_is_its_result_and_one_chunk_buffer():
+    """Every chunk is converted into the same buffer, so the traced peak of
+    _matvec stays within y, one chunk's values in x's dtype and 64 KiB of
+    slack (index offsets of one chunk, loop bookkeeping)."""
+    a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
+    n_col = a.shape[1]
+    assert n_col > 4 * solver._MATVEC_CHUNK
+    bounds = a.indptr[[*range(0, n_col, solver._MATVEC_CHUNK), n_col]]
+    chunk_nnz = int(np.diff(bounds).max())
+    x = np.random.default_rng(3).standard_normal(n_col)
+    for xs, absolute in ((x.astype(np.longdouble), False), (np.abs(x), True)):
+        tracemalloc.start()
+        try:
+            y = solver._matvec(a, xs, absolute=absolute)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = y.nbytes + chunk_nnz * xs.itemsize + (64 << 10)
+        assert peak <= bound, (xs.dtype, peak / (y.nbytes + chunk_nnz * xs.itemsize))
 
 
 def _singular_trace_system():
