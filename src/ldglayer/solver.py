@@ -33,11 +33,13 @@ contain P^+: that choice leaves far fewer condensed solves above the
 refinement threshold.
 
 ``assemble`` builds the per-element diagonal blocks D and these node
-factors first, and writes the CSC arrays of A from them: column (c, field,
-mode) holds, in ascending row order, that mode's column of a fixed list of
-blocks of elements c-1, c and c+1, so the pattern follows from (N, k) alone
-and each block is written once, transposed, into its slot (a coupling
-block as the product of its node factors).
+factors first, and writes A from them in block sparse row (BSR) storage of
+(k+1) x (k+1) field blocks.  Block row (e, field) holds, in ascending
+column order, a fixed list of blocks of elements e-1, e and e+1: 3 for a
+U-row, 3 for a P-row and 7 for a Q-row of an interior element.  The pattern
+thus follows from (N, k) alone, one index is stored per block rather than
+per entry, and each block is written once into its slot (a coupling block
+as the product of its node factors).
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
 one batched local solve, factors only the block-tridiagonal trace system
@@ -47,9 +49,10 @@ runs extended-precision iterative refinement against the assembled A, which
 stops once the residual meets the advertised tolerance or reaches the
 float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
 float64-stored solution can go.  The long-double residuals and the floor
-are accumulated by ``_matvec``, which runs scipy's compiled CSC product
-kernel in place a chunk of columns at a time, converting each chunk's
-values into one reused buffer rather than copying A whole.
+are accumulated by ``_matvec``, which runs scipy's compiled BSR product
+kernel (``bsr_matvec``) in place a chunk of block rows at a time,
+converting each chunk's blocks into one reused buffer rather than copying
+A whole.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse._sparsetools import csc_matvec
+from scipy.sparse._sparsetools import bsr_matvec
 from scipy.sparse.linalg import splu
 
 from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
@@ -69,7 +72,7 @@ from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
-_MATVEC_CHUNK = 1 << 12     # columns of A converted at a time by _matvec
+_MATVEC_CHUNK = 1 << 10     # block rows of A converted at a time by _matvec
 _VALIDATION_GRID = 2001
 
 
@@ -201,14 +204,15 @@ class BlockSystem:
     coefficients, then k+1 P, then k+1 Q.  Rows follow the same layout with
     the U-equation, P-equation and Q-equation row groups.
 
-    ``matrix`` is also held in block form, from which ``assemble`` wrote it:
+    ``matrix`` is stored as BSR with (k+1) x (k+1) blocks, one block row per
+    (element, field); ``assemble`` wrote it from the block form also held here:
     ``diag[e]`` is element e's (3(k+1), 3(k+1)) diagonal block, and at each
     interior node e+1 (index e = 0..N-2) the coupling of element e's rows to
     element e+1's columns is ``node_x[e] @ node_y[e].T`` and that of element
     e+1's rows to element e's columns is ``node_z[e] @ node_r[e].T``.
     """
 
-    matrix: sparse.csc_matrix
+    matrix: sparse.bsr_matrix
     rhs: np.ndarray
     mesh: Mesh
     k: int
@@ -219,8 +223,8 @@ class BlockSystem:
     node_r: np.ndarray      # (N-1, 3(k+1), 1), columns of element e
 
     def dump_coo(self) -> str:
-        """'row col value' per line (debugging aid)."""
-        coo = self.matrix.tocoo()
+        """'row col value' per line in column-major order (debugging aid)."""
+        coo = self.matrix.tocsc().tocoo()
         lines = [f"{r} {c} {float(v)!r}"
                  for r, c, v in zip(coo.row, coo.col, coo.data)]
         return "\n".join(lines) + "\n"
@@ -290,6 +294,7 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     diag[-1, 2, :, 1] -= an[-1] * rxr[-1]      # Ptilde_N = P_N^-
     diag[:, 2, :, 2] = -d_one - lxl
     diag[-1, 2, :, 2] += rxr[-1]               # Qhat_N = Q_N^-
+    del d_a, d_b, d_one, mass_cb, rxr, lxl, x, aq, bq, cq, bpq, cbq
 
     # Node factors at interior node e+1: rows e x columns e+1 is X Y^T and
     # rows e+1 x columns e is Z R^T, with r = element e's right trace and
@@ -309,54 +314,50 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     node_r = np.zeros((n - 1, 3, m, 1))
     node_r[:, 0, :, 0] = r_e
 
-    # Column (c, field, mode) holds that mode's column of these blocks in
-    # ascending row order, as (row element - c, row field): D for row
-    # element c, X Y^T of node c-1 for row element c-1 (c > 0) and Z R^T of
-    # node c for row element c+1 (c < N-1).
-    fields = (((-1, 2), (0, 0), (0, 2), (1, 0), (1, 2)),
-              ((-1, 1), (-1, 2), (0, 0), (0, 1), (0, 2)),
-              ((-1, 2), (0, 1), (0, 2)))
+    # Block row (e, field) holds these (k+1) x (k+1) blocks in ascending
+    # column order, as (column element - e, column field): Z R^T of node
+    # e-1 (e > 0), D for column element e and X Y^T of node e (e < N-1).
+    fields = (((-1, 0), (0, 0), (0, 1)),
+              ((0, 1), (0, 2), (1, 1)),
+              ((-1, 0), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
     dim = 3 * m * n
-    nnz = m * m * (13 * n - 6) if n > 1 else 7 * m * m
-    idx_dtype = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx_dtype)
-    col_counts = np.empty((n, 3), dtype=np.int64)
+    nnzb = 13 * n - 6 if n > 1 else 7
+    idx_dtype = np.int32 if max(nnzb, dim) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty((nnzb, m, m))
+    indices = np.empty(nnzb, dtype=idx_dtype)
+    row_counts = np.empty((n, 3), dtype=np.int64)
 
-    # Elements 0, 1..N-2 and N-1 each share one column pattern; every
-    # block is written transposed, straight into a view of its contiguous
-    # slice (a coupling block as the product of its node factors).
+    # Elements 0, 1..N-2 and N-1 each share one block pattern; every block
+    # is written straight into a view of its contiguous slice (a coupling
+    # block as the product of its node factors).
     groups = [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1)
     start = 0
     for lo, hi in groups:
         present = {-1: lo > 0, 0: True, 1: hi < n}
         per_field = [[blk for blk in blocks if present[blk[0]]] for blocks in fields]
-        col_counts[lo:hi] = [m * len(blocks) for blocks in per_field]
-        size = (hi - lo) * m * m * sum(len(blocks) for blocks in per_field)
-        region_d = data[start:start + size].reshape(hi - lo, -1)
-        region_i = indices[start:start + size].reshape(hi - lo, -1)
-        base = 3 * m * np.arange(lo, hi)[:, None, None, None]
-        offset = 0
-        for col_field, blocks in enumerate(per_field):
-            width = m * len(blocks) * m
-            view_d = region_d[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
-            view_i = region_i[:, offset:offset + width].reshape(hi - lo, m, len(blocks), m)
-            for slot, (row_shift, row_field) in enumerate(blocks):
-                part = slice(lo + min(row_shift, 0), hi + min(row_shift, 0))
-                if row_shift == 0:
-                    view_d[:, :, slot, :] = diag[part, row_field, :, col_field].transpose(0, 2, 1)
+        row_counts[lo:hi] = [len(blocks) for blocks in per_field]
+        per_element = sum(len(blocks) for blocks in per_field)
+        size = (hi - lo) * per_element
+        region_d = data[start:start + size].reshape(hi - lo, per_element, m, m)
+        region_i = indices[start:start + size].reshape(hi - lo, per_element)
+        elements = np.arange(lo, hi)
+        slot = 0
+        for row_field, blocks in enumerate(per_field):
+            for col_shift, col_field in blocks:
+                part = slice(lo + min(col_shift, 0), hi + min(col_shift, 0))
+                if col_shift == 0:
+                    region_d[:, slot] = diag[part, row_field, :, col_field]
                 else:
-                    f, g = (node_x, node_y) if row_shift < 0 else (node_z, node_r)
-                    np.matmul(g[part, col_field], f[part, row_field].transpose(0, 2, 1),
-                              out=view_d[:, :, slot, :])
-            first_rows = [3 * m * row_shift + row_field * m for row_shift, row_field in blocks]
-            view_i[...] = base + np.add.outer(first_rows, np.arange(m))
-            offset += width
+                    f, g = (node_x, node_y) if col_shift > 0 else (node_z, node_r)
+                    np.matmul(f[part, row_field], g[part, col_field].transpose(0, 2, 1),
+                              out=region_d[:, slot])
+                region_i[:, slot] = 3 * (elements + col_shift) + col_field
+                slot += 1
         start += size
 
-    indptr = np.zeros(dim + 1, dtype=idx_dtype)
-    np.cumsum(np.repeat(col_counts.ravel(), m), out=indptr[1:])
-    matrix = sparse.csc_matrix((data, indices, indptr), shape=(dim, dim))
+    indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
+    np.cumsum(row_counts.ravel(), out=indptr[1:])
+    matrix = sparse.bsr_matrix((data, indices, indptr), shape=(dim, dim))
 
     rhs = np.zeros(dim)
     rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
@@ -369,36 +370,48 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
                        node_r=node_r.reshape(n - 1, 3 * m, 1))
 
 
-def _matvec(a: sparse.csc_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+def _matvec(a: sparse.bsr_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
     """A @ x, or |A| @ x, accumulated in x's dtype without a copy of A.
 
-    A's values are converted to x's dtype one chunk of _MATVEC_CHUNK columns
-    at a time, into one buffer reused for every chunk, and each chunk is
-    added into y in place by scipy's compiled CSC product kernel, the one
-    ``a @ x`` runs.  Every row therefore sums the same products in the same
-    order, and the result is bit-identical to ``a.astype(x.dtype) @ x``.
+    A's blocks are converted to x's dtype one chunk of _MATVEC_CHUNK block
+    rows at a time, into one buffer reused for every chunk, and scipy's
+    compiled BSR product kernel, the one ``a @ x`` runs, writes that chunk's
+    rows of y in place.  Every row therefore sums the same products in the
+    same order, and the result is bit-identical to ``a.astype(x.dtype) @ x``.
     """
-    n_row, n_col = a.shape
-    starts = range(0, n_col, _MATVEC_CHUNK)
-    bounds = a.indptr[[*starts, n_col]]
-    vals = np.empty(int(np.diff(bounds).max(initial=0)), dtype=x.dtype)
-    y = np.zeros(n_row, dtype=x.dtype)
-    for c0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
-        c1 = min(c0 + _MATVEC_CHUNK, n_col)
+    r, c = a.blocksize
+    n_brow = a.shape[0] // r
+    starts = range(0, n_brow, _MATVEC_CHUNK)
+    bounds = a.indptr[[*starts, n_brow]]
+    vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=x.dtype)
+    y = np.zeros(a.shape[0], dtype=x.dtype)
+    for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+        r1 = min(r0 + _MATVEC_CHUNK, n_brow)
         chunk = vals[:hi - lo]
         if absolute:
             np.abs(a.data[lo:hi], out=chunk)
         else:
             chunk[...] = a.data[lo:hi]
-        csc_matvec(n_row, c1 - c0, a.indptr[c0:c1 + 1] - lo, a.indices[lo:hi],
-                   chunk, x[c0:c1], y)
+        bsr_matvec(r1 - r0, a.shape[1] // c, r, c, a.indptr[r0:r1 + 1] - lo,
+                   a.indices[lo:hi], chunk.reshape(-1), x, y[r0 * r:r1 * r])
     return y
 
 
-def _rounding_floor(a: sparse.csc_matrix, x: np.ndarray) -> float:
+def _rounding_floor(a: sparse.bsr_matrix, x: np.ndarray) -> float:
     """eps_mach * || |A| |x| ||_inf, the residual that storing x in float64
     leaves by itself."""
     return float(_matvec(a, np.abs(x), absolute=True).max()) * float(np.finfo(float).eps)
+
+
+def _residual(a: sparse.bsr_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - A x in x's dtype, formed in the buffer of the product."""
+    y = _matvec(a, x)
+    return np.subtract(b, y, out=y)
+
+
+def _inf_norm(v: np.ndarray) -> float:
+    """max_i |v_i| without an |v| temporary; 0 for an empty v."""
+    return abs(float(max(v.max(), -v.min()))) if v.size else 0.0
 
 
 class _Condensed:
@@ -424,20 +437,27 @@ class _Condensed:
             sol = np.linalg.solve(self.diag, local)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular LDG system: local block: {exc}") from exc
+        del local
         self.dx, self.dz = sol[:, :, :2], sol[:, :, 2]
-        traces = self._node_traces(sol[:, :, :3])
         self.lu = None
-        self.growth = 0.0
         if n > 1:
-            s = _trace_matrix(traces)
+            s = _trace_matrix(self._node_traces(sol[:, :, :3]))
             # S is block tridiagonal in node order, so the natural column
             # order already gives COLAMD's fill without the ordering pass.
             try:
                 self.lu = splu(s, permc_spec="NATURAL")
             except RuntimeError as exc:
                 raise RuntimeError(f"singular LDG system: {exc}") from exc
-            self.growth = float(np.abs(self.lu.U.data).max() / np.abs(s.data).max())
+            self.s_max = float(np.abs(s.data).max())
+            del s
         self.x = self._back_substitute(sol[:, :, 3])
+
+    def growth_factor(self) -> float:
+        """max|U_S| / max|S|, 0 without a trace system.  The first read of
+        ``lu.U`` makes SuperLU keep a CSC copy of U, so call this last."""
+        if self.lu is None:
+            return 0.0
+        return float(np.abs(self.lu.U.data).max() / self.s_max)
 
     def _node_traces(self, w: np.ndarray) -> np.ndarray:
         """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for local fields
@@ -528,30 +548,32 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     lu = _Condensed(system)
 
     x = lu.x
-    b_inf = float(np.abs(b).max()) if b.size else 0.0
+    b_inf = _inf_norm(b)
     target = RESIDUAL_RTOL * b_inf
     floor = _rounding_floor(a, x)
     stop = max(0.3 * target, floor)
 
     # Fast path: a float64 residual already at the stop threshold is
     # trustworthy (measurement noise only adds to it).
-    r_inf = float(np.abs(b - a @ x).max())
+    r_inf = _inf_norm(_residual(a, b, x))
     steps = 0
     if r_inf > stop:
-        b_ld = b.astype(np.longdouble)
         x_ld = x.astype(np.longdouble)
-        resid_ld = b_ld - _matvec(a, x_ld)     # x_ld == x: also x's own residual
-        r_inf = min(r_inf, float(np.abs(resid_ld).max()))
+        resid = _residual(a, b, x_ld)          # x_ld == x: also x's own residual
+        r_inf = min(r_inf, _inf_norm(resid))
         while r_inf > stop and steps < max_refine:
             if steps:
-                resid_ld = b_ld - _matvec(a, x_ld)
-            x_ld = x_ld + lu.solve(np.asarray(resid_ld, dtype=float)).astype(np.longdouble)
+                resid = _residual(a, b, x_ld)
+            correction = resid.astype(float)
+            resid = None                       # freed before the correction solve
+            x_ld += lu.solve(correction)
+            del correction
             steps += 1
-            x64 = np.asarray(x_ld, dtype=float)
-            r64 = float(np.abs(b_ld - _matvec(a, x64.astype(np.longdouble))).max())
+            x64 = x_ld.astype(float)
+            r64 = _inf_norm(_residual(a, b, x64.astype(np.longdouble)))
             if r64 < r_inf:
                 x, r_inf = x64, r64
-        del b_ld, x_ld, resid_ld
+        del x_ld, resid
         floor = _rounding_floor(a, x)
 
     # Below the floor the stated relative bound is unattainable regardless
@@ -564,7 +586,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             f"(and the float64 floor {floor:.3e})"
         )
 
-    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=lu.growth,
+    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=lu.growth_factor(),
                      refine_steps=steps)
 
     m = system.k + 1

@@ -103,30 +103,34 @@ def test_block_tridiagonal_sparsity():
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_assembled_pattern(n, k):
-    """The CSC pattern is fixed by (N, k): 13 blocks per interior column
-    group, 9 and 11 at the two ends, 7 on a single element; indices are
-    sorted without duplicates, and both identity blocks of every element
-    are stored in full, explicit zeros included."""
+    """The BSR pattern of (k+1) x (k+1) blocks is fixed by (N, k): the U-,
+    P- and Q-rows of an interior element hold 3, 3 and 7 blocks, 13 in all,
+    against 11 and 9 at the two ends and 7 on a single element; block
+    indices are sorted without duplicates, and both identity blocks of
+    every element are stored in full, explicit zeros included."""
     m = k + 1
     matrix = assemble(_varying_problem(0.05), uniform_mesh(n), k).matrix
+    assert matrix.blocksize == (m, m)
     assert matrix.nnz == (m * m * (13 * n - 6) if n > 1 else 7 * m * m)
     assert matrix.has_canonical_format
+    blocks_per_row = ([[2, 2, 3]] if n == 1
+                      else [[2, 3, 6]] + [[3, 3, 7]] * (n - 2) + [[3, 2, 4]])
+    assert np.array_equal(np.diff(matrix.indptr).reshape(n, 3), blocks_per_row)
     for e in range(n):
         for row_field, col_field in ((0, 1), (1, 2)):
-            rows = 3 * m * e + row_field * m + np.arange(m)
-            for mode in range(m):
-                col = 3 * m * e + col_field * m + mode
-                span = slice(matrix.indptr[col], matrix.indptr[col + 1])
-                stored = matrix.indices[span]
-                pos = np.searchsorted(stored, rows)
-                assert np.array_equal(stored[pos], rows)
-                assert np.array_equal(matrix.data[span][pos], np.eye(m)[:, mode])
+            block_row = 3 * e + row_field
+            span = slice(matrix.indptr[block_row], matrix.indptr[block_row + 1])
+            stored = matrix.indices[span]
+            assert np.all(np.diff(stored) > 0)
+            pos = np.searchsorted(stored, 3 * e + col_field)
+            assert stored[pos] == 3 * e + col_field
+            assert np.array_equal(matrix.data[span][pos], np.eye(m))
     assert np.count_nonzero(matrix.data == 0.0) >= 2 * n * (m * m - m)
 
 
 def test_assembly_memory_is_bounded_by_the_output():
-    """Assembly writes the CSC arrays in place, so its traced peak stays
-    within 3x the bytes it returns: the CSC arrays, the rhs and the block
+    """Assembly writes the BSR arrays in place, so its traced peak stays
+    within 3x the bytes it returns: the BSR arrays, the rhs and the block
     form."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
@@ -262,13 +266,13 @@ def test_refinement_reaches_the_rounding_floor():
 
 
 def test_chunked_matvec_is_bit_identical(monkeypatch):
-    """The extended residual and the rounding floor read A a few columns at
-    a time, yet add the same products in the same order as a full product
-    with a converted copy of A."""
+    """The extended residual and the rounding floor read A a few block rows
+    at a time, yet add the same products in the same order as a full
+    product with a converted copy of A."""
     system = assemble(_varying_problem(0.05), uniform_mesh(6), 3)
     a = system.matrix
     monkeypatch.setattr(solver, "_MATVEC_CHUNK", 5)
-    assert a.shape[1] > 10 * solver._MATVEC_CHUNK
+    assert a.shape[0] // a.blocksize[0] > 3 * solver._MATVEC_CHUNK
     rng = np.random.default_rng(7)
     x = rng.standard_normal(a.shape[1])
     x_ld = x.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
@@ -285,7 +289,7 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
     |A| times a long-double x, and with a last chunk shorter than the rest."""
     a = assemble(_varying_problem(0.05), uniform_mesh(6), 3).matrix
     monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
-    assert a.shape[1] % solver._MATVEC_CHUNK != 0
+    assert (a.shape[0] // a.blocksize[0]) % solver._MATVEC_CHUNK != 0
     wide = a.copy()
     # scipy stores small index arrays as int32 on construction, so widen after.
     wide.indptr = wide.indptr.astype(np.int64)
@@ -305,14 +309,15 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
 
 def test_matvec_memory_is_its_result_and_one_chunk_buffer():
     """Every chunk is converted into the same buffer, so the traced peak of
-    _matvec stays within y, one chunk's values in x's dtype and 64 KiB of
+    _matvec stays within y, one chunk's blocks in x's dtype and 64 KiB of
     slack (index offsets of one chunk, loop bookkeeping)."""
     a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
-    n_col = a.shape[1]
-    assert n_col > 4 * solver._MATVEC_CHUNK
-    bounds = a.indptr[[*range(0, n_col, solver._MATVEC_CHUNK), n_col]]
-    chunk_nnz = int(np.diff(bounds).max())
-    x = np.random.default_rng(3).standard_normal(n_col)
+    r, c = a.blocksize
+    n_brow = a.shape[0] // r
+    assert n_brow > 4 * solver._MATVEC_CHUNK
+    bounds = a.indptr[[*range(0, n_brow, solver._MATVEC_CHUNK), n_brow]]
+    chunk_nnz = int(np.diff(bounds).max()) * r * c
+    x = np.random.default_rng(3).standard_normal(a.shape[1])
     for xs, absolute in ((x.astype(np.longdouble), False), (np.abs(x), True)):
         tracemalloc.start()
         try:
@@ -324,6 +329,26 @@ def test_matvec_memory_is_its_result_and_one_chunk_buffer():
         assert peak <= bound, (xs.dtype, peak / (y.nbytes + chunk_nnz * xs.itemsize))
 
 
+def test_solve_memory_is_bounded_by_the_rhs():
+    """solve frees the local right-hand sides, the trace matrix and each
+    residual once they are spent, forms residuals in the product's buffer,
+    and reads the LU's U factor (of which SuperLU then keeps a CSC copy)
+    only after refinement, so its traced peak on top of the system stays
+    within 18x the bytes of the rhs.  Both rows take one refinement step."""
+    case = boundary_layer_case(1e-8)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
+    for k in (1, 3):
+        system = assemble(case.problem, mesh, k)
+        tracemalloc.start()
+        try:
+            w = solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.info.refine_steps >= 1
+        assert peak <= 18 * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
+
+
 def _singular_trace_system():
     """N = 2, k = 0 with D = I and rank-one couplings X Y^T = Z R^T = e_0 e_0^T,
     so S = I + [Y R]^T [X Z] and A = D + X Y^T + Z R^T are both singular."""
@@ -332,8 +357,9 @@ def _singular_trace_system():
     dense = np.eye(6)
     dense[:3, 3:] += node_x[0] @ node_x[0].T
     dense[3:, :3] += e0 @ e0.T
-    return solver.BlockSystem(matrix=sparse.csc_matrix(dense), rhs=np.ones(6),
-                              mesh=uniform_mesh(2), k=0, diag=np.stack([np.eye(3)] * 2),
+    return solver.BlockSystem(matrix=sparse.bsr_matrix(dense, blocksize=(1, 1)),
+                              rhs=np.ones(6), mesh=uniform_mesh(2), k=0,
+                              diag=np.stack([np.eye(3)] * 2),
                               node_x=node_x, node_y=node_x.copy(),
                               node_z=e0[None].copy(), node_r=e0[None].copy())
 
@@ -349,8 +375,9 @@ def _singular_local_block():
 
 
 def _zero_system():
-    return solver.BlockSystem(matrix=sparse.csc_matrix((3, 3)), rhs=np.ones(3),
-                              mesh=uniform_mesh(1), k=0, diag=np.zeros((1, 3, 3)),
+    return solver.BlockSystem(matrix=sparse.bsr_matrix((3, 3), blocksize=(1, 1)),
+                              rhs=np.ones(3), mesh=uniform_mesh(1), k=0,
+                              diag=np.zeros((1, 3, 3)),
                               node_x=np.zeros((0, 3, 2)), node_y=np.zeros((0, 3, 2)),
                               node_z=np.zeros((0, 3, 1)), node_r=np.zeros((0, 3, 1)))
 
@@ -439,7 +466,7 @@ def test_condensed_solve_matches_direct_reference(n, kind, k):
     system = assemble(problem, mesh, k, quad)
     w = solve(system, max_refine=0)
     x = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
-    reference = spsolve(system.matrix, system.rhs)
+    reference = spsolve(system.matrix.tocsc(), system.rhs)
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 

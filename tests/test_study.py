@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,20 @@ def test_cli_mesh_dump(tmp_path, capsys):
     values = [float(line) for line in out.strip().split("\n")]
     assert len(values) == 17
     assert values[0] == 0.0 and values[-1] == 1.0
+
+
+@pytest.mark.parametrize("k, digest", [
+    (0, "2a613a070e215ce3d1ed840f653469a5f807a67e24db20b36ee32c146556cb0b"),
+    (2, "7e37a7c52a0498c6f342411fa5f7968990064d6c4d3247d4456a8416cf7e9abb"),
+    (3, "11b96deac7bfceb37bcf522ed690c2f296454ac225754f26453bb303deaecae4"),
+])
+def test_cli_matrix_dump_bytes(k, digest, capsys):
+    """matrix-dump emits A's stored entries, explicit zeros included, in
+    column-major order; the digests pin its bytes."""
+    code = cli_main(["matrix-dump", "--mesh", "b", "--n", "8", "--eps", "1e-8",
+                     "--sigma", "2.5", "--k", str(k), "--out", "-"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_matrix_dump(tmp_path, capsys):
