@@ -43,16 +43,16 @@ as the product of its node factors).
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
 one batched local solve, factors only the block-tridiagonal trace system
-of 3(N-1) node unknowns (whatever k is) with a sparse LU with partial
-pivoting, and recovers the element unknowns from the node values.  It then
-runs extended-precision iterative refinement against the assembled A, which
-stops once the residual meets the advertised tolerance or reaches the
-float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
-float64-stored solution can go.  The long-double residuals and the floor
-are accumulated by ``_matvec``, which runs scipy's compiled BSR product
-kernel (``bsr_matvec``) in place a chunk of block rows at a time,
-converting each chunk's blocks into one reused buffer rather than copying
-A whole.
+of 3(N-1) node unknowns (whatever k is) with LAPACK's banded LU with
+partial pivoting (kl = 3, ku = 4), and recovers the element unknowns from
+the node values.  It then runs extended-precision iterative refinement
+against the assembled A, which stops once the residual meets the advertised
+tolerance or reaches the float64 rounding floor eps_mach * || |A| |x| ||_inf,
+below which no float64-stored solution can go.  The long-double residuals
+and the floor are accumulated by ``_matvec``, which runs scipy's compiled
+BSR product kernel (``bsr_matvec``) in place a chunk of block rows at a
+time, converting each chunk's blocks into one reused buffer rather than
+copying A whole.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import bsr_matvec
-from scipy.sparse.linalg import splu
 
 from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
                     element_values, element_weights, eval_fn, gauss_quadrature,
@@ -73,6 +73,7 @@ from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
 _MATVEC_CHUNK = 1 << 10     # block rows of A converted at a time by _matvec
+_KL, _KU = 3, 4             # lower and upper bandwidths of the trace system S
 _VALIDATION_GRID = 2001
 
 
@@ -136,8 +137,9 @@ class SolveInfo:
     """Direct-solve diagnostics.
 
     ``growth_factor`` is max|U_S| / max|S| for the LU factor U_S of the
-    condensed trace system S, the only matrix the sparse LU sees; it is 0
-    for N = 1, where there is no trace system.
+    condensed trace system S, the only matrix factored whole, by LAPACK's
+    banded LU (kl = 3, ku = 4); it is 0 for N = 1, where there is no trace
+    system.
     """
 
     residual_inf: float
@@ -420,8 +422,10 @@ class _Condensed:
     With t = [Y R]^T x, the three node unknowns (P^+, b_dn U^+ + Q^+, U^-)
     at each interior node solve the block-tridiagonal trace system
     S t = [Y R]^T D^-1 b, S = I + [Y R]^T D^-1 [X Z], and
-    x = D^-1 b - D^-1 [X Z] t.  ``solve`` repeats this for a new right-hand
-    side, so refinement steps reuse the local blocks and the LU of S.
+    x = D^-1 b - D^-1 [X Z] t.  S is banded (kl = 3, ku = 4) and factored
+    by LAPACK's ``dgbtrf``; ``x`` is the solution for the assembled rhs, and
+    ``solve`` repeats the elimination for a new right-hand side with
+    ``dgbtrs``, so refinement steps reuse the local blocks and the LU of S.
     """
 
     def __init__(self, system: BlockSystem) -> None:
@@ -438,26 +442,24 @@ class _Condensed:
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular LDG system: local block: {exc}") from exc
         del local
-        self.dx, self.dz = sol[:, :, :2], sol[:, :, 2]
-        self.lu = None
+        self.dxz = sol[:, :, :3].copy()     # D^-1 [X Z]
+        x = sol[:, :, 3].copy()
+        del sol
+        self.lub = None
         if n > 1:
-            s = _trace_matrix(self._node_traces(sol[:, :, :3]))
-            # S is block tridiagonal in node order, so the natural column
-            # order already gives COLAMD's fill without the ordering pass.
-            try:
-                self.lu = splu(s, permc_spec="NATURAL")
-            except RuntimeError as exc:
-                raise RuntimeError(f"singular LDG system: {exc}") from exc
-            self.s_max = float(np.abs(s.data).max())
-            del s
-        self.x = self._back_substitute(sol[:, :, 3])
+            ab = _trace_band(self._node_traces(self.dxz))
+            self.s_max = _inf_norm(ab)
+            self.lub, self.ipiv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
+            if info > 0:
+                raise RuntimeError(f"singular LDG system: trace pivot {info} is zero")
+        self.x = self._back_substitute(x)
 
     def growth_factor(self) -> float:
-        """max|U_S| / max|S|, 0 without a trace system.  The first read of
-        ``lu.U`` makes SuperLU keep a CSC copy of U, so call this last."""
-        if self.lu is None:
+        """max|U_S| / max|S|, 0 without a trace system; U_S fills the first
+        kl + ku + 1 rows of the band factor."""
+        if self.lub is None:
             return 0.0
-        return float(np.abs(self.lu.U.data).max() / self.s_max)
+        return _inf_norm(self.lub[:_KL + _KU + 1]) / self.s_max
 
     def _node_traces(self, w: np.ndarray) -> np.ndarray:
         """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for local fields
@@ -466,48 +468,42 @@ class _Condensed:
                                self.node_r.transpose(0, 2, 1) @ w[:-1]], axis=1)
 
     def _back_substitute(self, local: np.ndarray) -> np.ndarray:
-        """x = D^-1 b - D^-1 [X Z] t from local = D^-1 b, shape (N, 3(k+1))."""
-        x = local.copy()
-        if self.lu is not None:
-            t = self.lu.solve(self._node_traces(local[:, :, None]).ravel()).reshape(-1, 3)
-            x[:-1] -= (self.dx[:-1] @ t[:, :2, None])[:, :, 0]
-            x[1:] -= self.dz[1:] * t[:, 2:]
-        return x.ravel()
+        """x = D^-1 b - D^-1 [X Z] t, formed in place in local = D^-1 b of
+        shape (N, 3(k+1)) and returned flat."""
+        if self.lub is not None:
+            traces = self._node_traces(local[:, :, None]).reshape(-1, 1)
+            t = dgbtrs(self.lub, _KL, _KU, traces, self.ipiv, overwrite_b=1)[0].reshape(-1, 3)
+            local[:-1] -= (self.dxz[:-1, :, :2] @ t[:, :2, None])[:, :, 0]
+            local[1:] -= self.dxz[1:, :, 2] * t[:, 2:]
+        return local.ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         local = np.linalg.solve(self.diag, rhs.reshape(*self.diag.shape[:2], 1))
         return self._back_substitute(local[:, :, 0])
 
 
-def _trace_matrix(t: np.ndarray) -> sparse.csc_matrix:
-    """S = I + [Y R]^T D^-1 [X Z] from the node traces t of D^-1 [X Z].
+def _trace_band(t: np.ndarray) -> np.ndarray:
+    """S = I + [Y R]^T D^-1 [X Z] in LAPACK band storage from the node traces
+    t of D^-1 [X Z]: S[i, j] = ab[kl + ku + i - j, j], and rows 0..kl-1 are
+    left zero as ``dgbtrf``'s fill space.
 
     Node e's unknowns are 3e, 3e+1 (the Y part) and 3e+2 (the R part).
     ``t[e, :, c]`` is [Y_e^T (D^-1 X)_{e+1}; R_e^T (D^-1 X)_e] for c = 0, 1
     and [Y_e^T (D^-1 Z)_{e+1}; R_e^T (D^-1 Z)_e] for c = 2, so the Y rows of
-    node e reach the Y columns of node e+1, and its R row the R column of
-    node e-1.  Each column holds four slots in ascending row order; only the
-    first node's two Y columns (no rows above) and the last node's R column
-    (no row below) drop slots.
+    node e reach the Y columns of node e+1 (3 or 4 above the diagonal) and
+    its R row the R column of node e-1 (3 below).  No entry of t lands on
+    the diagonal, which is 1.
     """
-    n_nodes = t.shape[0]
-    dim = 3 * n_nodes
-    rows = 3 * np.arange(n_nodes)[:, None, None] + np.array(
-        [[-3, -2, 0, 2], [-3, -2, 1, 2], [0, 1, 2, 5]])
-    vals = np.zeros((n_nodes, 3, 4))
-    vals[1:, :2, :2] = t[:-1, :2, :2].transpose(0, 2, 1)
-    vals[:, :, 2] = 1.0
-    vals[:, :2, 3] = t[:, 2, :2]
-    vals[:, 2, :2] = t[:, :2, 2]
-    vals[:-1, 2, 3] = t[1:, 2, 2]
-    counts = np.full(dim, 4)
-    counts[:2], counts[-1] = 2, 3
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    rows, vals = rows.ravel(), vals.ravel()
-    return sparse.csc_matrix((np.concatenate([vals[2:4], vals[6:-1]]),
-                              np.concatenate([rows[2:4], rows[6:-1]]), indptr),
-                             shape=(dim, dim))
+    d = _KL + _KU                                    # band row of the diagonal
+    ab = np.zeros((2 * _KL + _KU + 1, 3 * t.shape[0]), order="F")
+    ab[d] = 1.0
+    for c in range(2):
+        for j in range(2):
+            ab[d - 3 + j - c, 3 + c::3] = t[:-1, j, c]     # S[3(e-1)+j, 3e+c]
+        ab[d + 2 - c, c::3] = t[:, 2, c]                  # S[3e+2, 3e+c]
+        ab[d - 2 + c, 2::3] = t[:, c, 2]                  # S[3e+c, 3e+2]
+    ab[d + 3, 2:-3:3] = t[1:, 2, 2]                      # S[3e+5, 3e+2]
+    return ab
 
 
 def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
@@ -519,13 +515,14 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     that is (P^+, b_dn U^+ + Q^+, U^-), at the N-1 interior nodes
     solve a block-tridiagonal system of 3(N-1) unknowns, whatever k is, and
     x = D^-1 b - D^-1 [X Z] t follows element by element.  Only that trace
-    system goes to the sparse LU (partial pivoting); N = 1 has no nodes,
-    and x = D^-1 b.  The condensed operator agrees with A only to one
-    rounding per coupling entry: A stores the float64 products fl(X Y^T)
-    and fl(Z R^T) that ``assemble`` wrote, while the elimination uses X, Y,
-    Z and R unmultiplied.  At Bakhvalov N = 65536, k = 3 the long-double
-    products of the two forms with the solution differ by 1.9e-10, about
-    0.19 times the rounding floor (1.0e-9).
+    system is factored whole, by LAPACK's banded LU (kl = 3, ku = 4, partial
+    pivoting); N = 1 has no nodes, and x = D^-1 b.  The condensed operator
+    agrees with A only to one rounding per coupling entry: A stores the
+    float64 products fl(X Y^T) and fl(Z R^T) that ``assemble`` wrote, while
+    the elimination uses X, Y, Z and R unmultiplied.  At Bakhvalov
+    N = 65536, k = 3 the long-double products of the two forms with the
+    solution differ by 1.9e-10, about 0.19 times the rounding floor
+    (1.0e-9).
 
     Refinement therefore measures every residual against the assembled A,
     not the condensed system: A is the operator the result is checked
@@ -546,8 +543,8 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     a = system.matrix
     b = system.rhs
     lu = _Condensed(system)
-
     x = lu.x
+    del lu.x                # refinement may replace x: hold it only here
     b_inf = _inf_norm(b)
     target = RESIDUAL_RTOL * b_inf
     floor = _rounding_floor(a, x)
@@ -569,10 +566,13 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             x_ld += lu.solve(correction)
             del correction
             steps += 1
-            x64 = x_ld.astype(float)
-            r64 = _inf_norm(_residual(a, b, x64.astype(np.longdouble)))
+            # The float64-rounded iterate, held in long double for its
+            # residual and rounded back only if it wins.
+            x_r = x_ld.astype(float).astype(np.longdouble)
+            r64 = _inf_norm(_residual(a, b, x_r))
             if r64 < r_inf:
-                x, r_inf = x64, r64
+                x, r_inf = x_r.astype(float), r64
+            del x_r
         del x_ld, resid
         floor = _rounding_floor(a, x)
 

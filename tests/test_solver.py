@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
@@ -332,9 +337,9 @@ def test_matvec_memory_is_its_result_and_one_chunk_buffer():
 def test_solve_memory_is_bounded_by_the_rhs():
     """solve frees the local right-hand sides, the trace matrix and each
     residual once they are spent, forms residuals in the product's buffer,
-    and reads the LU's U factor (of which SuperLU then keeps a CSC copy)
-    only after refinement, so its traced peak on top of the system stays
-    within 18x the bytes of the rhs.  Both rows take one refinement step."""
+    and holds the banded LU factor of the trace system, which tracemalloc
+    sees, so its traced peak on top of the system stays within 18x the
+    bytes of the rhs.  Both rows take one refinement step."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -388,6 +393,67 @@ def test_singular_system_raises():
     for build in (_zero_system, _singular_local_block, _singular_trace_system):
         with pytest.raises(RuntimeError, match="singular LDG system"):
             solve(build())
+
+
+def _dense_trace_system(system):
+    """S = I + [Y R]^T D^-1 [X Z] formed densely from the block form, with
+    node e's columns of [X Z] (X in element e, Z in element e+1) and of
+    [Y R] (Y in element e+1, R in element e) ordered 3e, 3e+1, 3e+2."""
+    n, width = system.diag.shape[:2]
+    dim, n_trace = n * width, 3 * (n - 1)
+    d = np.zeros((dim, dim))
+    xz = np.zeros((dim, n_trace))
+    yr = np.zeros((dim, n_trace))
+    for e in range(n):
+        d[e * width:(e + 1) * width, e * width:(e + 1) * width] = system.diag[e]
+    for e in range(n - 1):
+        here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
+        xz[here, 3 * e:3 * e + 2] = system.node_x[e]
+        xz[there, 3 * e + 2] = system.node_z[e, :, 0]
+        yr[there, 3 * e:3 * e + 2] = system.node_y[e]
+        yr[here, 3 * e + 2] = system.node_r[e, :, 0]
+    return np.eye(n_trace) + yr.T @ np.linalg.solve(d, xz)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_trace_band_matches_a_dense_oracle(n, k):
+    """The band that dgbtrf factors holds S = I + [Y R]^T D^-1 [X Z] at
+    ab[kl + ku + i - j, j], S has nothing outside kl = 3, ku = 4, the fill
+    rows are zero, and growth_factor is max|U| / max|S| of a dense LU."""
+    kind = MeshKind.BAKHVALOV if n >= 4 else None      # Bakhvalov needs N >= 4
+    problem, mesh, quad = _bilinear_setup("varying", kind, n, k)
+    system = assemble(problem, mesh, k, quad)
+    s = _dense_trace_system(system)
+    cond = solver._Condensed(system)
+    ab = solver._trace_band(cond._node_traces(cond.dxz))
+    kl, ku = solver._KL, solver._KU
+    assert ab.shape == (2 * kl + ku + 1, s.shape[0])
+
+    i, j = np.indices(s.shape)
+    in_band = (i - j <= kl) & (j - i <= ku)
+    assert not np.any(s[~in_band])
+    unpacked = np.zeros_like(s)
+    unpacked[in_band] = ab[(kl + ku + i - j)[in_band], j[in_band]]
+    # Relative to max|S|: a small entry formed by cancellation carries the
+    # rounding of its O(1) terms on either side.
+    assert np.abs(unpacked - s).max() <= 1e-14 * np.abs(s).max()
+    assert not np.any(ab[:kl])
+    # Band slots that fall outside S (the corners) are zero as well.
+    assert np.count_nonzero(ab) == np.count_nonzero(unpacked)
+
+    u = scipy.linalg.lu(s)[2]
+    assert cond.growth_factor() == pytest.approx(np.abs(u).max() / np.abs(s).max(), rel=1e-12)
+
+
+def test_import_leaves_the_sparse_lu_unloaded():
+    """The solver factors with LAPACK's banded LU, so importing the package
+    and its CLI does not load scipy.sparse.linalg (a start-up cost)."""
+    code = "import sys, ldglayer, ldglayer.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- bilinear form ---------------------------------------------------------
