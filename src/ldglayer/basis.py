@@ -117,6 +117,20 @@ def basis_scale(widths: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt((2.0 * np.arange(k + 1)[None, :] + 1.0) / widths[:, None])
 
 
+def basis_traces(widths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint values of phi_0..phi_k per width, each (len(widths), k+1):
+    phi_l(x_{j-1}^+) = (-1)^l s_l on the left and phi_l(x_j^-) = s_l on the
+    right, s = ``basis_scale``."""
+    right = basis_scale(widths, k)
+    return right * (-1.0) ** np.arange(k + 1), right
+
+
+def node_values(f, mesh: Mesh) -> np.ndarray:
+    """f at nodes 0..N, offset-aware, shape (N+1,)."""
+    vals = np.asarray(eval_fn(f, mesh.nodes, mesh.offsets), dtype=float)
+    return np.broadcast_to(vals, mesh.nodes.shape)
+
+
 def element_weights(mesh: Mesh, quad: Quadrature) -> np.ndarray:
     """Physical quadrature weights h_j/2 * w_q of every element, (N, nq)."""
     return 0.5 * mesh.widths[:, None] * quad.weights[None, :]
@@ -272,12 +286,11 @@ class PiecewisePoly:
 
     def trace_minus_all(self) -> np.ndarray:
         """Left-limit values v_j^- at nodes j = 1..N, shape (N,)."""
-        return (self.coeffs * self.scale).sum(axis=1)
+        return (self.coeffs * basis_traces(self.mesh.widths, self.k)[1]).sum(axis=1)
 
     def trace_plus_all(self) -> np.ndarray:
         """Right-limit values v_j^+ at nodes j = 0..N-1, shape (N,)."""
-        signs = (-1.0) ** np.arange(self.k + 1)
-        return (self.coeffs * self.scale * signs[None, :]).sum(axis=1)
+        return (self.coeffs * basis_traces(self.mesh.widths, self.k)[0]).sum(axis=1)
 
     def jumps(self) -> np.ndarray:
         """[v]_j for j = 0..N: v^+ - v^- inside, v_0^+ at 0, -v_N^- at N."""
@@ -372,19 +385,13 @@ def project_gauss_radau(sign: ProjectionSign, f, mesh: Mesh, k: int,
     m = k + 1
     moments = element_moments(f, mesh, k, quad)
 
-    trace_row = basis_scale(mesh.widths, k)
+    left, right = basis_traces(mesh.widths, k)
     if sign is ProjectionSign.MINUS:
-        colloc_x = mesh.nodes[1:]
-        colloc_omx = mesh.offsets[1:]
+        trace_row, fvals = right, node_values(f, mesh)[1:]
     elif sign is ProjectionSign.PLUS:
-        colloc_x = mesh.nodes[:-1]
-        colloc_omx = mesh.offsets[:-1]
-        trace_row = trace_row * ((-1.0) ** np.arange(m))[None, :]
+        trace_row, fvals = left, node_values(f, mesh)[:-1]
     else:
         raise ValueError(f"unknown projection sign {sign!r}")
-
-    fvals = np.asarray(eval_fn(f, colloc_x, colloc_omx), dtype=float)
-    fvals = np.broadcast_to(fvals, (n,))
 
     system = np.zeros((n, m, m))
     rhs = np.empty((n, m))

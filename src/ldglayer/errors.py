@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (LayerFn, PiecewisePoly, ProjectionSign, Quadrature,
+from .basis import (PiecewisePoly, ProjectionSign, Quadrature, element_moments,
                     element_values, element_weights, eval_fn, gauss_quadrature,
-                    layer_moments, project_gauss_radau, quad_points)
+                    node_values, project_gauss_radau, quad_points)
 from .cases import TestCase, boundary_layer_case
 from .meshes import Mesh
 from .solver import LdgSolution, Problem, energy_parts, solve_ldg
@@ -50,22 +50,21 @@ class ErrorRecord:
     part_u_jump: float
 
 
-def _error_jumps(exact_fn, v: PiecewisePoly) -> np.ndarray:
-    """[exact - v]_j for j = 0..N: the exact function is continuous, so only
-    its boundary values add to -[v]_j."""
+def _error_jumps(ends: np.ndarray, v: PiecewisePoly) -> np.ndarray:
+    """[exact - v]_j for j = 0..N from the exact function's ``node_values``
+    ``ends``: the exact function is continuous, so only its boundary values
+    add to -[v]_j."""
     out = -v.jumps()
-    out[0] += float(eval_fn(exact_fn, 0.0, 1.0))
-    out[-1] -= float(eval_fn(exact_fn, 1.0, 0.0))
+    out[0] += ends[0]
+    out[-1] -= ends[-1]
     return out
 
 
-def _linf_fine(exact_fn, v: PiecewisePoly, diff: np.ndarray) -> float:
+def _linf_fine(ends: np.ndarray, v: PiecewisePoly, diff: np.ndarray) -> float:
     """Max |exact - v| over the fine region: the quadrature-point misfits
-    ``diff`` plus the element endpoints."""
-    mesh = v.mesh
-    fine = slice(mesh.n_coarse, None)
-    ends = np.asarray(eval_fn(exact_fn, mesh.nodes, mesh.offsets), dtype=float)
-    ends = np.broadcast_to(ends, mesh.nodes.shape)
+    ``diff`` plus the element endpoints, against the exact function's
+    ``node_values`` ``ends``."""
+    fine = slice(v.mesh.n_coarse, None)
     lefts = np.abs(ends[:-1][fine] - v.trace_plus_all()[fine])
     rights = np.abs(ends[1:][fine] - v.trace_minus_all()[fine])
     return float(max(np.abs(diff[fine]).max(), lefts.max(), rights.max()))
@@ -86,8 +85,9 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
     eu = misfit(exact_u, w.U)
     ep = misfit(exact_p, w.P)
     eq = misfit(exact_q, w.Q)
-    jumps_p = _error_jumps(exact_p, w.P)
-    jumps_u = _error_jumps(exact_u, w.U)
+    ends_u = node_values(exact_u, mesh)
+    jumps_p = _error_jumps(node_values(exact_p, mesh), w.P)
+    jumps_u = _error_jumps(ends_u, w.U)
     parts = energy_parts(problem, mesh, hw, x, ep, eu, jumps_p, jumps_u)
 
     return ErrorRecord(
@@ -95,7 +95,7 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
         l2_u=float(np.sqrt((hw * eu**2).sum())),
         l2_p=float(np.sqrt((hw * ep**2).sum())),
         l2_q=float(np.sqrt((hw * eq**2).sum())),
-        linf_u_fine=_linf_fine(exact_u, w.U, eu),
+        linf_u_fine=_linf_fine(ends_u, w.U, eu),
         jump_u=float(np.sqrt((jumps_u**2).sum())),
         jump_p=float(np.sqrt((jumps_p**2).sum())),
         part_p_jump=parts[0],
@@ -126,7 +126,8 @@ def linf_error_fine(exact, v: PiecewisePoly,
     plus element endpoints."""
     if quad is None:
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    return _linf_fine(exact, v, element_values(exact, v.mesh, quad) - v.values_at(quad))
+    return _linf_fine(node_values(exact, v.mesh), v,
+                      element_values(exact, v.mesh, quad) - v.values_at(quad))
 
 
 def energy_quadrature_drift(exact_triple, w: LdgSolution,
@@ -196,34 +197,21 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
     proj_u = project_gauss_radau(ProjectionSign.MINUS, case.exact_u, mesh, k, quad)
     proj_p = project_gauss_radau(ProjectionSign.PLUS, case.exact_p, mesh, k, quad)
     proj_q = project_gauss_radau(ProjectionSign.PLUS, case.exact_q, mesh, k, quad)
+    ends_u, ends_p = node_values(case.exact_u, mesh), node_values(case.exact_p, mesh)
     return ProjectionErrors(
         l2_u=l2_error(case.exact_u, proj_u, quad),
         l2_p=l2_error(case.exact_p, proj_p, quad),
         l2_q=l2_error(case.exact_q, proj_q, quad),
         linf_p_fine=linf_error_fine(case.exact_p, proj_p, quad),
         linf_q_fine=linf_error_fine(case.exact_q, proj_q, quad),
-        jump_u=float(np.sqrt((_error_jumps(case.exact_u, proj_u) ** 2).sum())),
-        jump_p=float(np.sqrt((_error_jumps(case.exact_p, proj_p) ** 2).sum())),
+        jump_u=float(np.sqrt((_error_jumps(ends_u, proj_u) ** 2).sum())),
+        jump_p=float(np.sqrt((_error_jumps(ends_p, proj_p) ** 2).sum())),
     )
 
 
 # ---------------------------------------------------------------------------
 # Local identity for the auxiliary variable
 # ---------------------------------------------------------------------------
-
-def _hybrid_inner(f, v: PiecewisePoly, quad: Quadrature) -> np.ndarray:
-    """Per-element <f, v> with the layer part integrated exactly."""
-    mesh = v.mesh
-    hw = element_weights(mesh, quad)
-    if isinstance(f, LayerFn):
-        x, _ = quad_points(mesh, quad)
-        smooth_part = (hw * np.asarray(f.smooth(x), dtype=float)
-                       * v.values_at(quad)).sum(axis=1)
-        lm = layer_moments(mesh, f.eps, v.k)
-        return smooth_part + f.coeff * (lm * v.coeffs).sum(axis=1)
-    vals = element_values(f, mesh, quad)
-    return (hw * vals * v.values_at(quad)).sum(axis=1)
-
 
 def auxiliary_identity_residuals(case: TestCase, mesh: Mesh, k: int,
                                  solution: LdgSolution | None = None,
@@ -269,18 +257,15 @@ def auxiliary_identity_residuals(case: TestCase, mesh: Mesh, k: int,
     dxq = xi_q.derivative()
     t_vol = -eps * (xi_p.coeffs * dxq.coeffs).sum(axis=1)
 
-    nodes_plus = mesh.nodes[:-1]
-    p_exact_plus = np.broadcast_to(np.asarray(
-        eval_fn(case.exact_p, nodes_plus, mesh.offsets[:-1]), dtype=float),
-        nodes_plus.shape)
-    xhat = solution.P.trace_plus_all() - p_exact_plus   # nodes 0..N-1; Xhat_N = 0
+    # nodes 0..N-1; Xhat_N = 0
+    xhat = solution.P.trace_plus_all() - node_values(case.exact_p, mesh)[:-1]
     y_minus = xi_q.trace_minus_all()
     y_plus = xi_q.trace_plus_all()
     xhat_right = np.append(xhat[1:], 0.0)
     t_flux = eps * (xhat_right * y_minus - xhat * y_plus)
 
-    t_eta = (_hybrid_inner(case.exact_q, xi_q, quad)
-             - (proj_q.coeffs * xi_q.coeffs).sum(axis=1))
+    t_eta = ((element_moments(case.exact_q, mesh, k, quad) - proj_q.coeffs)
+             * xi_q.coeffs).sum(axis=1)
 
     denom = np.abs(lhs) + np.abs(t_vol) + np.abs(t_flux) + np.abs(t_eta)
     denom = denom + np.finfo(float).eps * denom.max() + 1e-300

@@ -66,9 +66,9 @@ import scipy.sparse as sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import bsr_matvec
 
-from .basis import (PiecewisePoly, Quadrature, basis_scale, element_moments,
-                    element_values, element_weights, eval_fn, gauss_quadrature,
-                    legendre_deriv_table, legendre_table, quad_points)
+from .basis import (PiecewisePoly, Quadrature, basis_traces, element_moments,
+                    element_values, element_weights, gauss_quadrature,
+                    legendre_deriv_table, legendre_table, node_values, quad_points)
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
@@ -261,9 +261,8 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     aq, bq, cq, bpq = problem.at(x)
     cbq = cq - bpq
 
-    s = basis_scale(h, k)                                        # (n, m)
-    right = s
-    left = s * ((-1.0) ** np.arange(m))[None, :]
+    left, right = basis_traces(h, k)                             # (n, m)
+    s = right                                                    # basis scales
 
     # <coeff * trial_m, test_l'>; the h factors cancel into the s scales.
     d_a = np.einsum("eq,lq,mq->elm", wq[None, :] * aq, dp_tab, p_tab)
@@ -613,8 +612,7 @@ def _on_mesh(obj, mesh: Mesh, quad: Quadrature):
     callable."""
     if isinstance(obj, PiecewisePoly):
         return obj.values_at(quad), _traces(obj)
-    ends = np.broadcast_to(np.asarray(eval_fn(obj, mesh.nodes, mesh.offsets),
-                                      dtype=float), mesh.nodes.shape)
+    ends = node_values(obj, mesh)
     return element_values(obj, mesh, quad), (ends[1:], ends[:-1])
 
 
