@@ -7,11 +7,18 @@ Every element carries the L2-orthonormal shifted-Legendre basis
 so the element L2 norm of a piecewise polynomial equals the Euclidean norm of
 its coefficient vector and mass matrices are identities regardless of h_j.
 
+This module is the one statement of the element conventions that fluxes,
+projections and error norms share: ``basis_traces`` gives the one-sided
+endpoint values phi_l(x_{j-1}^+) = (-1)^l s_l and phi_l(x_j^-) = s_l,
+``node_values`` evaluates a function at nodes 0..N from the mesh offsets,
+and ``element_moments`` integrates it against the basis.
+
 Functions with a boundary-layer factor exp(-(1-x)/eps) are represented by
 ``LayerFn`` (smooth part + layer coefficient).  Their moments against the
 basis are integrated exactly through scaled modified spherical Bessel
-functions, which stays accurate for element-width-to-eps ratios from ~0 to
-1e12; plain callables fall back to Gauss quadrature evaluated at the nodes.
+functions, computed in numpy from a power series or a finite closed form,
+which stays accurate for element-width-to-eps ratios from ~0 to 1e12; plain
+callables fall back to Gauss quadrature evaluated at the nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ive
 
 from .meshes import Mesh
 
@@ -149,46 +155,49 @@ def quad_points(mesh: Mesh, quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
 def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
     """exp(-beta) * i_l(beta) for l = 0..k, shape (len(beta), k+1).
 
-    i_l is the modified spherical Bessel function of the first kind.  Three
-    regimes: a power series below beta = 1e-6, the scaled Bessel ive in the
-    middle, and the exact finite closed form
+    i_l is the modified spherical Bessel function of the first kind.  Two
+    regimes: up to beta = 5 the power series (DLMF section 10.53)
+
+        e^{-b} b^l sum_{j<40} (b^2/2)^j / (j! (2l+2j+1)!!),
+
+    whose terms are all positive, so nothing cancels; above it the exact
+    finite closed form (DLMF section 10.49)
 
         (1/2b) [sum_m (-1)^m c_m b^-m  -  (-1)^l e^{-2b} sum_m c_m b^-m],
         c_m = (l+m)! / (m! (l-m)! 2^m),
 
-    for large beta, where ive becomes unreliable (NaN near 1e9) but the
-    alternating sum has decaying terms and no cancellation.
+    whose alternating sum cancels only mildly for beta > 5.  Against a
+    40-digit reference the relative error stays below 1e-15 for l <= 3; the
+    cancellation grows with l (about 1e-14 at l = 5).
     """
     beta = np.asarray(beta, dtype=float)
     out = np.empty((beta.size, k + 1))
-    small = beta < 1e-6
-    large = beta > max(30.0, 2.0 * k * (k + 1))
-    mid = ~(small | large)
-    safe = np.where(mid, beta, 1.0)
+    small = beta <= 5.0
+    bs = beta[small]
+    half_sq = 0.5 * bs * bs
+    lead = np.exp(-bs)                      # e^{-b} b^l / (2l+1)!!
     for l in range(k + 1):
-        out[:, l] = np.sqrt(np.pi / (2.0 * safe)) * ive(l + 0.5, safe)
-    if np.any(small):
-        # i_l(b) ~ b^l / (2l+1)!! * (1 + O(b^2)); include the e^{-b} factor.
-        bs = beta[small]
-        dfact = 1.0
-        for l in range(k + 1):
-            if l > 0:
-                dfact *= 2 * l + 1
-            out[small, l] = bs**l / dfact * np.exp(-bs)
-    if np.any(large):
-        bl = beta[large]
-        decay = np.exp(-2.0 * bl)
-        for l in range(k + 1):
-            alt = np.zeros_like(bl)
-            plain = np.zeros_like(bl)
-            c = 1.0
-            for m in range(l + 1):
-                if m > 0:
-                    c *= (l + m) * (l - m + 1) / (2.0 * m)
-                term = c * bl ** (-m)
-                alt += (-1.0) ** m * term
-                plain += term
-            out[large, l] = (alt - (-1.0) ** l * decay * plain) / (2.0 * bl)
+        if l > 0:
+            lead = lead * bs / (2 * l + 1)
+        term = lead
+        total = lead
+        for j in range(1, 40):
+            term = term * half_sq / (j * (2 * l + 2 * j + 1))
+            total = total + term
+        out[small, l] = total
+    bl = beta[~small]
+    decay = np.exp(-2.0 * bl)
+    for l in range(k + 1):
+        alt = np.zeros_like(bl)
+        plain = np.zeros_like(bl)
+        c = 1.0
+        for m in range(l + 1):
+            if m > 0:
+                c *= (l + m) * (l - m + 1) / (2.0 * m)
+            term = c * bl ** (-m)
+            alt += (-1.0) ** m * term
+            plain += term
+        out[~small, l] = (alt - (-1.0) ** l * decay * plain) / (2.0 * bl)
     return out
 
 

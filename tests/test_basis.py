@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from ldglayer.basis import (LayerFn, PiecewisePoly, ProjectionSign,
+                            _scaled_sph_bessel, basis_scale, basis_traces,
                             element_moments, eval_fn, eval_trace,
                             gauss_quadrature, layer_moments, legendre_table,
-                            legendre_deriv_table, project_gauss_radau,
-                            quad_points, zero_poly)
+                            legendre_deriv_table, node_values,
+                            project_gauss_radau, quad_points, zero_poly)
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, mesh_from_nodes, uniform_mesh
 
 
@@ -103,6 +104,25 @@ def test_trace_range_validation():
         eval_trace(v, 3, "plus")
     with pytest.raises(ValueError):
         eval_trace(v, 1, "left")
+
+
+def test_basis_traces_are_endpoint_values():
+    widths = np.array([0.5, 1e-9, 3.0])
+    left, right = basis_traces(widths, 3)
+    ends = legendre_table(3, np.array([-1.0, 1.0]))     # P_l(-1), P_l(1)
+    scale = basis_scale(widths, 3)
+    assert np.array_equal(left, scale * ends[:, 0])
+    assert np.array_equal(right, scale * ends[:, 1])
+
+
+def test_node_values_are_offset_aware_and_full_length():
+    eps = 1e-12
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 16, eps, 2.5))
+    layer = node_values(LayerFn(lambda x: np.zeros_like(x), 1.0, eps), mesh)
+    assert np.array_equal(layer, np.exp(-mesh.offsets / eps))
+    assert layer[-2] > 0.0      # 1 - nodes[-2] would round the layer away
+    const = node_values(lambda x: 2.0, mesh)
+    assert const.shape == (mesh.n_elements + 1,) and np.all(const == 2.0)
 
 
 def test_l2_norm_is_coefficient_norm():
@@ -202,6 +222,25 @@ def test_layer_moments_against_quadrature(eps, kind):
     for e in range(mesh.n_elements):
         ref = _exact_layer_moments(mesh.widths[e], mesh.offsets[e + 1], eps, k)
         assert np.allclose(got[e], ref, rtol=5e-13, atol=1e-280)
+
+
+def test_scaled_sph_bessel_against_mpmath():
+    """Oracle: e^{-b} i_l(b) = e^{-b} sqrt(pi/(2b)) I_{l+1/2}(b) in 40-digit
+    arithmetic, over a log grid of beta in [1e-9, 1e9] plus the points where
+    a truncated series or a regime switch would show: around 1e-6, at
+    7.2e-7, on both sides of 5 and at 30."""
+    betas = np.concatenate([np.logspace(-9, 9, 54),
+                            [1e-6 * (1 - 1e-12), 1e-6 * (1 + 1e-12), 7.2e-7,
+                             5.0, np.nextafter(5.0, 6.0), 30.0]])
+    got = _scaled_sph_bessel(3, betas)
+    worst = 0.0
+    with mp.workdps(40):
+        for b, row in zip(betas, got):
+            b = mp.mpf(float(b))
+            for l in range(4):
+                ref = mp.exp(-b) * mp.sqrt(mp.pi / (2 * b)) * mp.besseli(l + mp.mpf(0.5), b)
+                worst = max(worst, float(abs((mp.mpf(float(row[l])) - ref) / ref)))
+    assert worst <= 1e-14
 
 
 def test_element_moments_layer_vs_plain():
