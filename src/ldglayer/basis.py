@@ -179,8 +179,7 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
     for l in range(k + 1):
         if l > 0:
             lead = lead * bs / (2 * l + 1)
-        term = lead
-        total = lead
+        term = total = lead
         for j in range(1, 40):
             term = term * half_sq / (j * (2 * l + 2 * j + 1))
             total = total + term

@@ -536,8 +536,9 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     returned.
 
     Raises RuntimeError if a local block or the trace system is singular,
-    or if the residual exceeds the stricter of RESIDUAL_RTOL * ||rhs||_inf
-    and four times the floor.
+    or if the residual is not finite (NaN or inf in the data or the
+    solution) or exceeds the stricter of RESIDUAL_RTOL * ||rhs||_inf and
+    four times the floor.
     """
     a = system.matrix
     b = system.rhs
@@ -577,12 +578,13 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
 
     # Below the floor the stated relative bound is unattainable regardless
     # of solver.  Enforce the stricter of the relative bound and four times
-    # the floor.
+    # the floor.  A NaN residual fails the comparison, and an infinite one
+    # is refused even when an infinite ||rhs||_inf would allow it.
     allowed = max(target, 4.0 * floor)
-    if r_inf > allowed:
+    if not (r_inf <= allowed and math.isfinite(r_inf)):
         raise RuntimeError(
-            f"solve residual {r_inf:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||rhs||_inf "
-            f"(and the float64 floor {floor:.3e})"
+            f"solve residual {r_inf:.3e} is non-finite or exceeds {RESIDUAL_RTOL:.0e} "
+            f"* ||rhs||_inf (and the float64 floor {floor:.3e})"
         )
 
     info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=lu.growth_factor(),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .basis import gauss_quadrature
 from .cases import boundary_layer_case
@@ -98,7 +98,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple[StudyRow, ...]
-    metadata: dict = field(default_factory=dict)
 
     @property
     def any_failed(self) -> bool:
@@ -151,16 +150,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
                              l2p=result["l2p"], clamped=result["clamped"],
                              wall_time=result["wall_time"]))
 
-    rows = _attach_rates(rows)
-    total_time = sum(r.wall_time for r in rows)
-    metadata = {
-        "sigma_rule": config.sigma_rule,
-        "quad_assembly": config.quad_assembly if config.quad_assembly else "k+3",
-        "quad_error": config.quad_error,
-        "clamped_rows": sum(1 for r in rows if r.clamped),
-        "wall_time_total": total_time,
-    }
-    return ConvergenceReport(rows=tuple(rows), metadata=metadata)
+    return ConvergenceReport(rows=tuple(_attach_rates(rows)))
 
 
 def _run_single_safe(args) -> dict | str:
@@ -282,7 +272,7 @@ def emit_plotdata(report: ConvergenceReport, out_dir) -> list[str]:
                 if not r.failed and r.energy is not None]
         if not rows:
             continue
-        path = out / f"energy_{kind.value}_k{k}_eps{eps:.0e}.dat"
+        path = out / f"energy_{kind.value}_k{k}_eps{eps:g}.dat"
         first = rows[0]
         slope = k + 0.5
         lines = ["# N  energy_error  reference_N^-(k+1/2)"]

@@ -395,6 +395,18 @@ def test_singular_system_raises():
             solve(build())
 
 
+@pytest.mark.parametrize("f", [lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0),
+                               lambda x: np.full(np.shape(x), 1e308)],
+                         ids=["nan-forcing", "overflowing-forcing"])
+def test_non_finite_residual_raises(f):
+    """A forcing with NaN, or one whose solution overflows, leaves a NaN
+    residual, which compares false with any bound; solve raises instead of
+    returning it."""
+    system = assemble(unit_problem(1e-2, f), uniform_mesh(16), 1)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        solve(system)
+
+
 def _dense_trace_system(system):
     """S = I + [Y R]^T D^-1 [X Z] formed densely from the block form, with
     node e's columns of [X Z] (X in element e, Z in element e+1) and of
@@ -447,13 +459,15 @@ def test_trace_band_matches_a_dense_oracle(n, k):
 
 
 def test_import_leaves_the_sparse_lu_unloaded():
-    """The solver factors with LAPACK's banded LU, so importing the package
-    and its CLI does not load scipy.sparse.linalg (a start-up cost)."""
-    code = "import sys, ldglayer, ldglayer.cli; print('scipy.sparse.linalg' in sys.modules)"
+    """The solver factors with LAPACK's banded LU and the layer moments use a
+    numpy kernel, so importing the package and its CLI loads neither
+    scipy.sparse.linalg nor scipy.special (start-up costs)."""
+    code = ("import sys, ldglayer, ldglayer.cli; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.special') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # -- bilinear form ---------------------------------------------------------

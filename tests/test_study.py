@@ -146,6 +146,17 @@ def test_plotdata_files(tmp_path):
     assert abs(fit_rate(ns, errs) - fit_rate(ns, refs)) <= 0.15
 
 
+def test_plotdata_keeps_eps_values_apart(tmp_path):
+    """Two eps that agree to one significant digit get their own files,
+    named with the CSV's eps label."""
+    config = StudyConfig(mesh_kinds=(MeshKind.SHISHKIN,), degrees=(1,),
+                         eps_list=(1e-8, 1.4e-8), n_list=(16, 32))
+    paths = emit_plotdata(run_study(config), tmp_path)
+    assert len(set(paths)) == 2
+    assert sorted(Path(p).name for p in paths) == ["energy_s_k1_eps1.4e-08.dat",
+                                                   "energy_s_k1_eps1e-08.dat"]
+
+
 def test_three_kind_agreement():
     config = StudyConfig(degrees=(0, 1), eps_list=(1e-8,), n_list=(16, 32, 64))
     report = run_study(config)
