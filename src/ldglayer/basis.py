@@ -7,18 +7,16 @@ Every element carries the L2-orthonormal shifted-Legendre basis
 so the element L2 norm of a piecewise polynomial equals the Euclidean norm of
 its coefficient vector and mass matrices are identities regardless of h_j.
 
-This module is the one statement of the element conventions that fluxes,
-projections and error norms share: ``basis_traces`` gives the one-sided
-endpoint values phi_l(x_{j-1}^+) = (-1)^l s_l and phi_l(x_j^-) = s_l,
-``node_values`` evaluates a function at nodes 0..N from the mesh offsets,
-and ``element_moments`` integrates it against the basis.
+Only this module states the element conventions that fluxes, projections
+and error norms share: the basis endpoint values (``basis_traces``), a
+function's offset-aware node values (``node_values``) and its moments
+against the basis (``element_moments``).
 
 Functions with a boundary-layer factor exp(-(1-x)/eps) are represented by
 ``LayerFn`` (smooth part + layer coefficient).  Their moments against the
 basis are integrated exactly through scaled modified spherical Bessel
-functions, computed in numpy from a power series or a finite closed form,
-which stays accurate for element-width-to-eps ratios from ~0 to 1e12; plain
-callables fall back to Gauss quadrature evaluated at the nodes.
+functions, computed in numpy, accurate for element-width-to-eps ratios from
+~0 to 1e12; plain callables fall back to Gauss quadrature.
 """
 
 from __future__ import annotations
@@ -166,9 +164,8 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
         (1/2b) [sum_m (-1)^m c_m b^-m  -  (-1)^l e^{-2b} sum_m c_m b^-m],
         c_m = (l+m)! / (m! (l-m)! 2^m),
 
-    whose alternating sum cancels only mildly for beta > 5.  Against a
-    40-digit reference the relative error stays below 1e-15 for l <= 3; the
-    cancellation grows with l (about 1e-14 at l = 5).
+    whose alternating sum cancels only mildly for beta > 5: relative error
+    below 1e-15 for l <= 3, growing with l (about 1e-14 at l = 5).
     """
     beta = np.asarray(beta, dtype=float)
     out = np.empty((beta.size, k + 1))

@@ -3,10 +3,9 @@
 The energy norm of the error e = (u - U, p - P, q - Q) is the scheme-induced
 norm's ``energy_parts`` applied to e.  Its jumps are -[v]_j of
 ``PiecewisePoly.jumps`` plus the exact boundary values, since the exact
-functions are continuous ([e]_0 = e_0^+, [e]_N = -e_N^-).  Exact values at
-the nodes come from ``basis.node_values``, once per function, and feed both
-the jumps and the fine-region max norm; inner products with the exact
-functions use ``basis.element_moments``, whose layer part is exact.
+functions are continuous ([e]_0 = e_0^+, [e]_N = -e_N^-).  Exact node
+values (``basis.node_values``) feed the jumps and the fine-region max norm,
+and inner products with exact functions use ``basis.element_moments``.
 
 Error quadrature defaults to 20 Gauss points per element; layer-adapted
 meshes resolve the layer factor within each fine element, and

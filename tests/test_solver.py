@@ -270,6 +270,28 @@ def test_refinement_reaches_the_rounding_floor():
     assert measure(unrefined)[0] > 1e-15
 
 
+def test_refinement_keeps_a_refined_iterate_at_the_rounding_floor():
+    """At Bakhvalov k = 1, N = 65536 refinement stagnates at the rounding
+    floor: no step brings the residual below the unrefined iterate's, yet
+    the refined iterates' l2u agree with the converged value (the one all
+    of them approach) to about 1e-11, while the unrefined solve's is 5e-5
+    off.  So solve must not return the unrefined iterate for its residual
+    alone."""
+    case = boundary_layer_case(1e-8)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 65536, 1e-8, 2.5))
+    system = assemble(case.problem, mesh, 1)
+    converged = 2.5559211249945e-10
+
+    def l2u(w):
+        return error_record(case.exact_u, case.exact_p, case.exact_q, w,
+                            case.problem).l2_u
+
+    refined = solve(system)
+    assert refined.info.refine_steps >= 1
+    assert abs(l2u(refined) / converged - 1.0) <= 1e-9
+    assert abs(l2u(solve(system, max_refine=0)) / converged - 1.0) > 1e-6
+
+
 def test_chunked_matvec_is_bit_identical(monkeypatch):
     """The extended residual and the rounding floor read A a few block rows
     at a time, yet add the same products in the same order as a full
