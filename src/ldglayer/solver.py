@@ -529,10 +529,12 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     final check read.  It stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor),
     where floor = eps_mach * || |A| |x| ||_inf: below the floor no
     float64-stored x can carry a smaller residual, so further steps cannot
-    pay.  Each of at most ``max_refine`` steps corrects x against a residual
-    accumulated in extended precision (near the floor a double-precision
-    residual is dominated by its own rounding noise), then evaluates the
-    rounded float64 iterate.  The iterate with the smallest residual is
+    pay; it also stops once a step leaves the extended iterate's residual no
+    smaller, the sign that it has reached the floor.  Each of at most
+    ``max_refine`` steps corrects x against a residual accumulated in
+    extended precision (near the floor a double-precision residual is
+    dominated by its own rounding noise), then evaluates the rounded float64
+    iterate.  The iterate with the smallest residual is
     returned, but the first refined one displaces the unrefined one if it
     passes the final check: at the floor the residual is noise (Bakhvalov
     k = 1, N = 65536: refined iterates carry larger residuals, yet l2u
@@ -560,10 +562,16 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     if r_inf > stop:
         x_ld = x.astype(np.longdouble)
         resid = _residual(a, b, x_ld)          # x_ld == x: also x's own residual
-        r_inf = min(r_inf, _inf_norm(resid))
+        r_ld = _inf_norm(resid)
+        r_inf = min(r_inf, r_ld)
         while r_inf > stop and steps < max_refine:
             if steps:
                 resid = _residual(a, b, x_ld)
+                # A step that left x_ld's residual no smaller has reached
+                # the floor; further steps would only redraw its noise.
+                r_prev, r_ld = r_ld, _inf_norm(resid)
+                if r_ld >= r_prev:
+                    break
             correction = resid.astype(float)
             resid = None                       # freed before the correction solve
             x_ld += lu.solve(correction)
