@@ -174,22 +174,19 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
     half_sq = 0.5 * bs * bs
     lead = np.exp(-bs)                      # e^{-b} b^l / (2l+1)!!
     for l in range(k + 1):
-        if l > 0:
-            lead = lead * bs / (2 * l + 1)
         term = total = lead
         for j in range(1, 40):
             term = term * half_sq / (j * (2 * l + 2 * j + 1))
             total = total + term
         out[small, l] = total
+        lead = lead * bs / (2 * l + 3)
     bl = beta[~small]
     decay = np.exp(-2.0 * bl)
     for l in range(k + 1):
         alt = np.zeros_like(bl)
         plain = np.zeros_like(bl)
-        c = 1.0
         for m in range(l + 1):
-            if m > 0:
-                c *= (l + m) * (l - m + 1) / (2.0 * m)
+            c = math.factorial(l + m) // (math.factorial(m) * math.factorial(l - m) * 2**m)
             term = c * bl ** (-m)
             alt += (-1.0) ** m * term
             plain += term

@@ -567,8 +567,6 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
         while r_inf > stop and steps < max_refine:
             if steps:
                 resid = _residual(a, b, x_ld)
-                # A step that left x_ld's residual no smaller has reached
-                # the floor; further steps would only redraw its noise.
                 r_prev, r_ld = r_ld, _inf_norm(resid)
                 if r_ld >= r_prev:
                     break
@@ -581,8 +579,6 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             # residual and rounded back only if it wins.
             x_r = x_ld.astype(float).astype(np.longdouble)
             r64 = _inf_norm(_residual(a, b, x_r))
-            # The first refined iterate replaces the unrefined one whenever
-            # it passes the final check; later ones must lower the residual.
             if r64 < r_inf or (steps == 1 and r64 <= max(
                     target, 4.0 * _rounding_floor(a, x_r.astype(float)))):
                 x, r_inf = x_r.astype(float), r64
