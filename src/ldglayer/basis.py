@@ -158,7 +158,8 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
 
         e^{-b} b^l sum_{j<40} (b^2/2)^j / (j! (2l+2j+1)!!),
 
-    whose terms are all positive, so nothing cancels; above it the exact
+    whose terms are all positive, so nothing cancels, and which stops early
+    once the terms no longer change the sum; above it the exact
     finite closed form (DLMF section 10.49)
 
         (1/2b) [sum_m (-1)^m c_m b^-m  -  (-1)^l e^{-2b} sum_m c_m b^-m],
@@ -177,6 +178,8 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
         term = total = lead
         for j in range(1, 40):
             term = term * half_sq / (j * (2 * l + 2 * j + 1))
+            if not (term > 2.0**-60 * total).any():
+                break           # this and every later term is below half an ulp
             total = total + term
         out[small, l] = total
         lead = lead * bs / (2 * l + 3)
