@@ -154,9 +154,10 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
     """exp(-beta) * i_l(beta) for l = 0..k, shape (len(beta), k+1).
 
     i_l is the modified spherical Bessel function of the first kind.  Two
-    regimes: up to beta = 5 the power series (DLMF section 10.53)
+    regimes per degree: up to beta = max(5, l^2/2.5) the power series (DLMF
+    section 10.53)
 
-        e^{-b} b^l sum_{j<40} (b^2/2)^j / (j! (2l+2j+1)!!),
+        e^{-b} b^l sum_{j<40+6l} (b^2/2)^j / (j! (2l+2j+1)!!),
 
     whose terms are all positive, so nothing cancels, and which stops early
     once the terms no longer change the sum; above it the exact
@@ -165,27 +166,25 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
         (1/2b) [sum_m (-1)^m c_m b^-m  -  (-1)^l e^{-2b} sum_m c_m b^-m],
         c_m = (l+m)! / (m! (l-m)! 2^m),
 
-    whose alternating sum cancels only mildly for beta > 5: relative error
-    below 1e-15 for l <= 3, growing with l (about 1e-14 at l = 5).
+    whose alternating sum cancels more as l grows, but only mildly beyond
+    that split.  Relative error below 2e-15 for l <= 12.
     """
     beta = np.asarray(beta, dtype=float)
     out = np.empty((beta.size, k + 1))
-    small = beta <= 5.0
-    bs = beta[small]
-    half_sq = 0.5 * bs * bs
-    lead = np.exp(-bs)                      # e^{-b} b^l / (2l+1)!!
+    half_sq = 0.5 * beta * beta
+    lead = np.exp(-beta)                    # e^{-b} b^l / (2l+1)!!
     for l in range(k + 1):
-        term = total = lead
-        for j in range(1, 40):
-            term = term * half_sq / (j * (2 * l + 2 * j + 1))
+        series = beta <= max(5.0, l * l / 2.5)
+        term = total = lead[series]
+        hs = half_sq[series]
+        for j in range(1, 40 + 6 * l):
+            term = term * hs / (j * (2 * l + 2 * j + 1))
             if not (term > 2.0**-60 * total).any():
                 break           # this and every later term is below half an ulp
             total = total + term
-        out[small, l] = total
-        lead = lead * bs / (2 * l + 3)
-    bl = beta[~small]
-    decay = np.exp(-2.0 * bl)
-    for l in range(k + 1):
+        out[series, l] = total
+        lead = lead * beta / (2 * l + 3)
+        bl = beta[~series]
         alt = np.zeros_like(bl)
         plain = np.zeros_like(bl)
         for m in range(l + 1):
@@ -193,7 +192,7 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
             term = c * bl ** (-m)
             alt += (-1.0) ** m * term
             plain += term
-        out[~small, l] = (alt - (-1.0) ** l * decay * plain) / (2.0 * bl)
+        out[~series, l] = (alt - (-1.0) ** l * np.exp(-2.0 * bl) * plain) / (2.0 * bl)
     return out
 
 

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .cases import boundary_layer_case
+from .errors import ERROR_QUAD_POINTS
 from .meshes import MeshKind, MeshSpec, build_mesh
 from .solver import assemble
 from .study import StudyConfig, emit_plotdata, emit_table, run_study
@@ -47,6 +48,8 @@ def _parse_eps(text: str) -> tuple[float, ...]:
 
 
 def _doubling(nmin: int, nmax: int) -> tuple[int, ...]:
+    if nmin < 1:
+        raise ValueError(f"nmin must be at least 1, got {nmin}")
     if nmax < nmin:
         raise ValueError(f"nmax={nmax} < nmin={nmin}")
     out = [nmin]
@@ -88,7 +91,7 @@ def _study_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quad-assembly", type=int,
                         help="assembly Gauss points (default k+3)")
     parser.add_argument("--quad-error", type=int,
-                        help="error-norm Gauss points (default 20)")
+                        help=f"error-norm Gauss points (default {ERROR_QUAD_POINTS})")
     parser.add_argument("--config", help="key=value config file; flags win")
     return parser
 
@@ -123,7 +126,8 @@ def _run_study_command(argv: list[str]) -> int:
     plot_dir = args.plot_dir or file_values.get("plot-dir")
     workers = int(_merge(args.workers, file_values, "workers", "1"))
     quad_assembly = _merge(args.quad_assembly, file_values, "quad-assembly", "")
-    quad_error = int(_merge(args.quad_error, file_values, "quad-error", "20"))
+    quad_error = int(_merge(args.quad_error, file_values, "quad-error",
+                            str(ERROR_QUAD_POINTS)))
 
     config = StudyConfig(
         mesh_kinds=kinds, degrees=degrees, eps_list=eps_list,

@@ -136,6 +136,10 @@ def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SolveInfo:
     """Direct-solve diagnostics.
 
+    ``residual_inf`` is ||b - A x||_inf of the returned x, accumulated in
+    long double when the float64 residual called for refinement (even if
+    the long-double one then met the stop rule, ``refine_steps`` = 0) and
+    in float64 otherwise.
     ``growth_factor`` is max|U_S| / max|S| for the LU factor U_S of the
     condensed trace system S, the only matrix factored whole, by LAPACK's
     banded LU (kl = 3, ku = 4); it is 0 for N = 1, where there is no trace
@@ -529,16 +533,16 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     final check read.  It stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor),
     where floor = eps_mach * || |A| |x| ||_inf: below the floor no
     float64-stored x can carry a smaller residual, so further steps cannot
-    pay; it also stops once a step leaves the extended iterate's residual no
-    smaller, the sign that it has reached the floor.  Each of at most
-    ``max_refine`` steps corrects x against a residual accumulated in
-    extended precision (near the floor a double-precision residual is
-    dominated by its own rounding noise), then evaluates the rounded float64
-    iterate.  The iterate with the smallest residual is
-    returned, but the first refined one displaces the unrefined one if it
-    passes the final check: at the floor the residual is noise (Bakhvalov
-    k = 1, N = 65536: refined iterates carry larger residuals, yet l2u
-    within 1e-11 of the converged value against 5e-5 unrefined).
+    pay.  A float64 residual decides whether to refine at all (its rounding
+    noise only adds to it).  Refinement is the classical scheme: the float64
+    iterate x is corrected in place by the condensed solve of its residual
+    accumulated in extended precision (near the floor a double-precision
+    residual is dominated by its own rounding noise), at most ``max_refine``
+    times, and it also stops once a step leaves that residual no smaller,
+    the sign that it has reached the floor.  The last iterate is returned:
+    at the floor the residual is noise (Bakhvalov k = 1, N = 65536: the
+    refined iterate's l2u is within 1e-11 of the converged value, the
+    unrefined one's 5e-5 off, though its residual is smaller).
 
     Raises RuntimeError if a local block or the trace system is singular,
     or if the residual is not finite (NaN or inf in the data or the
@@ -549,7 +553,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     b = system.rhs
     lu = _Condensed(system)
     x = lu.x
-    del lu.x                # refinement may replace x: hold it only here
+    del lu.x                # refinement corrects x in place: hold it only here
     b_inf = _inf_norm(b)
     target = RESIDUAL_RTOL * b_inf
     floor = _rounding_floor(a, x)
@@ -560,30 +564,18 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     r_inf = _inf_norm(_residual(a, b, x))
     steps = 0
     if r_inf > stop:
-        x_ld = x.astype(np.longdouble)
-        resid = _residual(a, b, x_ld)          # x_ld == x: also x's own residual
-        r_ld = _inf_norm(resid)
-        r_inf = min(r_inf, r_ld)
+        resid = _residual(a, b, x.astype(np.longdouble))
+        r_inf = _inf_norm(resid)
         while r_inf > stop and steps < max_refine:
-            if steps:
-                resid = _residual(a, b, x_ld)
-                r_prev, r_ld = r_ld, _inf_norm(resid)
-                if r_ld >= r_prev:
-                    break
-            correction = resid.astype(float)
-            resid = None                       # freed before the correction solve
-            x_ld += lu.solve(correction)
+            correction, resid = resid.astype(float), None   # freed before the solve
+            x += lu.solve(correction)
             del correction
             steps += 1
-            # The float64-rounded iterate, held in long double for its
-            # residual and rounded back only if it wins.
-            x_r = x_ld.astype(float).astype(np.longdouble)
-            r64 = _inf_norm(_residual(a, b, x_r))
-            if r64 < r_inf or (steps == 1 and r64 <= max(
-                    target, 4.0 * _rounding_floor(a, x_r.astype(float)))):
-                x, r_inf = x_r.astype(float), r64
-            del x_r
-        del x_ld, resid
+            resid = _residual(a, b, x.astype(np.longdouble))
+            r_prev, r_inf = r_inf, _inf_norm(resid)
+            if r_inf >= r_prev:
+                break
+        del resid
         floor = _rounding_floor(a, x)
 
     # Below the floor the stated relative bound is unattainable regardless

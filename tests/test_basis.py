@@ -226,18 +226,20 @@ def test_layer_moments_against_quadrature(eps, kind):
 
 def test_scaled_sph_bessel_against_mpmath():
     """Oracle: e^{-b} i_l(b) = e^{-b} sqrt(pi/(2b)) I_{l+1/2}(b) in 40-digit
-    arithmetic, over a log grid of beta in [1e-9, 1e9] plus the points where
-    a truncated series or a regime switch would show: around 1e-6, at
-    7.2e-7, on both sides of 5 and at 30."""
+    arithmetic for l = 0..12, over a log grid of beta in [1e-9, 1e9] plus the
+    points where a truncated series or a regime switch would show: around
+    1e-6, at 7.2e-7, at 30, and at each degree's split max(5, l^2/2.5) and
+    just above it."""
+    splits = sorted({max(5.0, l * l / 2.5) for l in range(13)})
     betas = np.concatenate([np.logspace(-9, 9, 54),
-                            [1e-6 * (1 - 1e-12), 1e-6 * (1 + 1e-12), 7.2e-7,
-                             5.0, np.nextafter(5.0, 6.0), 30.0]])
-    got = _scaled_sph_bessel(3, betas)
+                            [1e-6 * (1 - 1e-12), 1e-6 * (1 + 1e-12), 7.2e-7, 30.0],
+                            splits, [np.nextafter(s, np.inf) for s in splits]])
+    got = _scaled_sph_bessel(12, betas)
     worst = 0.0
     with mp.workdps(40):
         for b, row in zip(betas, got):
             b = mp.mpf(float(b))
-            for l in range(4):
+            for l in range(13):
                 ref = mp.exp(-b) * mp.sqrt(mp.pi / (2 * b)) * mp.besseli(l + mp.mpf(0.5), b)
                 worst = max(worst, float(abs((mp.mpf(float(row[l])) - ref) / ref)))
     assert worst <= 1e-14

@@ -212,6 +212,9 @@ def test_cli_range_degree_syntax(tmp_path):
 def test_cli_bad_input_exit_code(tmp_path):
     assert cli_main(["--mesh", "zz"]) == 2
     assert cli_main(["--nmin", "32", "--nmax", "16"]) == 2
+    # doubling from N <= 0 would never reach nmax
+    assert cli_main(["--nmin", "0", "--nmax", "16"]) == 2
+    assert cli_main(["--nmin", "-16", "--nmax", "16"]) == 2
 
 
 def test_cli_plot_dir(tmp_path):
