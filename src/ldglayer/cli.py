@@ -22,13 +22,13 @@ import sys
 from pathlib import Path
 
 from .cases import boundary_layer_case
-from .errors import ERROR_QUAD_POINTS
 from .meshes import MeshKind, MeshSpec, build_mesh
 from .solver import assemble
 from .study import StudyConfig, emit_plotdata, emit_table, run_study
 
 _STUDY_KEYS = ("mesh", "k", "eps", "nmin", "nmax", "sigma", "format", "out",
-               "plot-dir", "workers", "quad-assembly", "quad-error")
+               "plot-dir", "workers")
+_FORMATS = ("csv", "markdown")
 
 
 def _parse_kinds(text: str) -> tuple[MeshKind, ...]:
@@ -77,29 +77,24 @@ def _study_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldg-study",
         description="Convergence study for the layer-adapted LDG solver")
-    parser.add_argument("--mesh", help="comma list of kinds: s,bs,b")
-    parser.add_argument("--k", help="degrees, e.g. '0..3' or '1,2'")
-    parser.add_argument("--eps", help="comma list of eps values")
-    parser.add_argument("--nmin", type=int, help="smallest N (doubling sweep)")
-    parser.add_argument("--nmax", type=int, help="largest N")
-    parser.add_argument("--sigma", help="'auto' (k+1.5) or an explicit value")
-    parser.add_argument("--format", choices=("csv", "markdown"),
+    parser.add_argument("--mesh", default="s,bs,b",
+                        help="comma list of kinds: s,bs,b")
+    parser.add_argument("--k", default="0..3",
+                        help="degrees, e.g. '0..3' or '1,2'")
+    parser.add_argument("--eps", default="1e-8", help="comma list of eps values")
+    parser.add_argument("--nmin", type=int, default=16,
+                        help="smallest N (doubling sweep)")
+    parser.add_argument("--nmax", type=int, default=512, help="largest N")
+    parser.add_argument("--sigma", default="auto",
+                        help="'auto' (k+1.5) or an explicit value")
+    parser.add_argument("--format", choices=_FORMATS, default="csv",
                         help="table format (default csv)")
-    parser.add_argument("--out", help="output path ('-' for stdout)")
+    parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--plot-dir", help="also write per-curve plot data here")
-    parser.add_argument("--workers", type=int, help="parallel row workers")
-    parser.add_argument("--quad-assembly", type=int,
-                        help="assembly Gauss points (default k+3)")
-    parser.add_argument("--quad-error", type=int,
-                        help=f"error-norm Gauss points (default {ERROR_QUAD_POINTS})")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel row workers")
     parser.add_argument("--config", help="key=value config file; flags win")
     return parser
-
-
-def _merge(cli_value, file_values: dict[str, str], key: str, fallback: str) -> str:
-    if cli_value is not None:
-        return str(cli_value)
-    return file_values.get(key, fallback)
 
 
 def _write(text: str, path: str) -> None:
@@ -111,35 +106,25 @@ def _write(text: str, path: str) -> None:
 
 
 def _run_study_command(argv: list[str]) -> int:
-    args = _study_parser().parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    kinds = _parse_kinds(_merge(args.mesh, file_values, "mesh", "s,bs,b"))
-    degrees = _parse_degrees(_merge(args.k, file_values, "k", "0..3"))
-    eps_list = _parse_eps(_merge(args.eps, file_values, "eps", "1e-8"))
-    nmin = int(_merge(args.nmin, file_values, "nmin", "16"))
-    nmax = int(_merge(args.nmax, file_values, "nmax", "512"))
-    sigma_text = _merge(args.sigma, file_values, "sigma", "auto")
-    sigma_rule: str | float = "k+1.5" if sigma_text == "auto" else float(sigma_text)
-    out_format = _merge(args.format, file_values, "format", "csv")
-    out_path = _merge(args.out, file_values, "out", "-")
-    plot_dir = args.plot_dir or file_values.get("plot-dir")
-    workers = int(_merge(args.workers, file_values, "workers", "1"))
-    quad_assembly = _merge(args.quad_assembly, file_values, "quad-assembly", "")
-    quad_error = int(_merge(args.quad_error, file_values, "quad-error",
-                            str(ERROR_QUAD_POINTS)))
+    parser = _study_parser()
+    config_path = parser.parse_known_args(argv)[0].config
+    if config_path:
+        parser.set_defaults(**{key.replace("-", "_"): value for key, value
+                               in _read_config_file(config_path).items()})
+    args = parser.parse_args(argv)
+    if args.format not in _FORMATS:  # argparse checks choices of flags only
+        raise ValueError(f"unknown output format {args.format!r}")
 
     config = StudyConfig(
-        mesh_kinds=kinds, degrees=degrees, eps_list=eps_list,
-        n_list=_doubling(nmin, nmax), sigma_rule=sigma_rule,
-        quad_assembly=int(quad_assembly) if quad_assembly else None,
-        quad_error=quad_error, output_format=out_format,
-        output_path=None if out_path == "-" else out_path, workers=workers)
+        mesh_kinds=_parse_kinds(args.mesh), degrees=_parse_degrees(args.k),
+        eps_list=_parse_eps(args.eps), n_list=_doubling(args.nmin, args.nmax),
+        sigma_rule="k+1.5" if args.sigma == "auto" else float(args.sigma),
+        workers=args.workers)
 
     report = run_study(config)
-    _write(emit_table(report, config.output_format), config.output_path or "-")
-    if plot_dir:
-        emit_plotdata(report, plot_dir)
+    _write(emit_table(report, args.format), args.out)
+    if args.plot_dir:
+        emit_plotdata(report, args.plot_dir)
     for row in report.rows:
         if row.failed:
             print(f"FAILED {row.kind.value} k={row.k} eps={row.eps:g} "
@@ -154,7 +139,6 @@ def _mesh_args() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--eps", type=float, required=True)
     parser.add_argument("--sigma", type=float, required=True)
-    parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--out", default="-")
     return parser
 
@@ -166,12 +150,13 @@ def _dump_command(name: str, argv: list[str]) -> int:
     if name == "matrix-dump":
         parser.add_argument("--k", type=int, required=True)
     args = parser.parse_args(argv)
-    mesh = build_mesh(MeshSpec(kind=MeshKind.from_tag(args.mesh), N=args.n,
-                               eps=args.eps, sigma=args.sigma, alpha=args.alpha))
+    kind = MeshKind.from_tag(args.mesh)
     if name == "mesh-dump":
-        text = mesh.dump_nodes()
+        text = build_mesh(MeshSpec(kind, args.n, args.eps, args.sigma)).dump_nodes()
     else:
-        text = assemble(boundary_layer_case(args.eps).problem, mesh, args.k).dump_coo()
+        problem = boundary_layer_case(args.eps).problem
+        mesh = build_mesh(MeshSpec(kind, args.n, args.eps, args.sigma, problem.alpha))
+        text = assemble(problem, mesh, args.k).dump_coo()
     _write(text, args.out)
     return 0
 

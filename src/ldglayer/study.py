@@ -42,11 +42,6 @@ class StudyConfig:
     eps_list: tuple[float, ...] = (1e-8,)
     n_list: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
     sigma_rule: str | float = "k+1.5"
-    alpha: float = 1.0
-    quad_assembly: int | None = None          # None -> k + 3
-    quad_error: int = ERROR_QUAD_POINTS
-    output_format: str = "csv"
-    output_path: str | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -58,8 +53,6 @@ class StudyConfig:
                 raise ValueError(f"n_list must double: {prev} -> {nxt}")
         if not all(0 <= k <= 3 for k in self.degrees):
             raise ValueError("degrees must lie in 0..3")
-        if self.output_format not in ("csv", "markdown"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if isinstance(self.sigma_rule, str) and self.sigma_rule != "k+1.5":
             raise ValueError("sigma_rule must be 'k+1.5' or a number")
         if self.workers < 1:
@@ -104,22 +97,27 @@ class ConvergenceReport:
         return any(r.failed for r in self.rows)
 
 
-def _run_single(kind: MeshKind, k: int, eps: float, n: int, sigma: float,
-                alpha: float, nq_asm: int | None, nq_err: int) -> dict:
+def _run_single(kind: MeshKind, k: int, eps: float, n: int,
+                sigma: float) -> StudyRow:
     start = time.perf_counter()
     case = boundary_layer_case(eps)
-    mesh = build_mesh(MeshSpec(kind=kind, N=n, eps=eps, sigma=sigma, alpha=alpha))
-    quad = gauss_quadrature(nq_asm) if nq_asm is not None else None
-    w = solve(assemble(case.problem, mesh, k, quad))
+    mesh = build_mesh(MeshSpec(kind=kind, N=n, eps=eps, sigma=sigma,
+                               alpha=case.problem.alpha))
+    w = solve(assemble(case.problem, mesh, k))
     rec = error_record(case.exact_u, case.exact_p, case.exact_q, w,
-                       case.problem, gauss_quadrature(nq_err))
-    return {
-        "energy": rec.energy,
-        "l2u": rec.l2_u,
-        "l2p": rec.l2_p,
-        "clamped": mesh.clamped,
-        "wall_time": time.perf_counter() - start,
-    }
+                       case.problem, gauss_quadrature(ERROR_QUAD_POINTS))
+    return StudyRow(kind=kind, k=k, eps=eps, n=n, energy=rec.energy,
+                    l2u=rec.l2_u, l2p=rec.l2_p, clamped=mesh.clamped,
+                    wall_time=time.perf_counter() - start)
+
+
+def _run_single_safe(args) -> StudyRow:
+    try:
+        return _run_single(*args)
+    except Exception as exc:  # failed rows are reported, never dropped
+        kind, k, eps, n, _sigma = args
+        return StudyRow(kind=kind, k=k, eps=eps, n=n,
+                        failure=f"{type(exc).__name__}: {exc}")
 
 
 def _job_args(config: StudyConfig):
@@ -127,8 +125,7 @@ def _job_args(config: StudyConfig):
         for k in sorted(config.degrees):
             for eps in sorted(config.eps_list):
                 for n in config.n_list:
-                    yield (kind, k, eps, n, config.sigma_for(k), config.alpha,
-                           config.quad_assembly, config.quad_error)
+                    yield (kind, k, eps, n, config.sigma_for(k))
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
@@ -136,28 +133,10 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     args = list(_job_args(config))
     if config.workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            raw = list(pool.map(_run_single_safe, args))
+            rows = list(pool.map(_run_single_safe, args))
     else:
-        raw = [_run_single_safe(a) for a in args]
-
-    rows: list[StudyRow] = []
-    for (kind, k, eps, n, _sigma, _alpha, _qa, _qe), result in zip(args, raw):
-        if isinstance(result, str):
-            rows.append(StudyRow(kind=kind, k=k, eps=eps, n=n, failure=result))
-            continue
-        rows.append(StudyRow(kind=kind, k=k, eps=eps, n=n,
-                             energy=result["energy"], l2u=result["l2u"],
-                             l2p=result["l2p"], clamped=result["clamped"],
-                             wall_time=result["wall_time"]))
-
+        rows = [_run_single_safe(a) for a in args]
     return ConvergenceReport(rows=tuple(_attach_rates(rows)))
-
-
-def _run_single_safe(args) -> dict | str:
-    try:
-        return _run_single(*args)
-    except Exception as exc:  # failed rows are reported, never dropped
-        return f"{type(exc).__name__}: {exc}"
 
 
 def _attach_rates(rows: list[StudyRow]) -> list[StudyRow]:

@@ -24,8 +24,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(degrees=(4,))
     with pytest.raises(ValueError):
-        StudyConfig(output_format="tsv")
-    with pytest.raises(ValueError):
         StudyConfig(sigma_rule="k+2")
     assert StudyConfig(sigma_rule=3.0).sigma_for(1) == 3.0
     assert StudyConfig().sigma_for(2) == 3.5
@@ -112,10 +110,10 @@ def test_markdown_layout():
 def test_failed_rows_marked_err(monkeypatch):
     orig = study._run_single
 
-    def boom(kind, k, eps, n, sigma, alpha, nq_asm, nq_err):
+    def boom(kind, k, eps, n, sigma):
         if n == 32:
             raise RuntimeError("synthetic failure")
-        return orig(kind, k, eps, n, sigma, alpha, nq_asm, nq_err)
+        return orig(kind, k, eps, n, sigma)
 
     monkeypatch.setattr(study, "_run_single", boom)
     report = run_study(SMALL)
