@@ -1,13 +1,19 @@
-"""Command-line driver for convergence studies and debug dumps.
+r"""Command-line driver for convergence studies and debug dumps.
+
+A study row is fixed by (mesh kind, k, eps, N, sigma) alone: the mesh takes
+alpha from the problem, assembly uses k + 3 Gauss points per element and the
+error norms 20 (``errors.ERROR_QUAD_POINTS``).
 
 Study flags (the default action)::
 
     ldg-study --mesh s,bs,b --k 0..3 --eps 1e-4,1e-8,1e-12 \
-              --nmin 16 --nmax 512 --sigma auto --format csv --out table.csv
+              --nmin 16 --nmax 512 --sigma auto --format csv --out table.csv \
+              --plot-dir plots --workers 2
 
 An optional plain-text config file (``--config``) holds ``key=value`` lines
 with the same keys as the long flags; explicit flags override the file.
-Exit code is 0 iff no row failed.
+Exit code: 0 if every row ran, 1 if a row failed (its cells read ERR), 2 on
+bad input; bad flag and config values are rejected before any row runs.
 
 Debug subcommands::
 
@@ -38,8 +44,10 @@ def _parse_kinds(text: str) -> tuple[MeshKind, ...]:
 def _parse_degrees(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split(".."))
+        if hi < lo:
+            raise ValueError(f"degree range {text!r} is reversed")
+        return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
 
 

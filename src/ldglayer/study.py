@@ -14,6 +14,7 @@ byte-identical tables.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -53,8 +54,14 @@ class StudyConfig:
                 raise ValueError(f"n_list must double: {prev} -> {nxt}")
         if not all(0 <= k <= 3 for k in self.degrees):
             raise ValueError("degrees must lie in 0..3")
-        if isinstance(self.sigma_rule, str) and self.sigma_rule != "k+1.5":
-            raise ValueError("sigma_rule must be 'k+1.5' or a number")
+        for eps in self.eps_list:
+            if not 0.0 < eps < 1.0:
+                raise ValueError(f"every eps must lie in (0, 1), got {eps}")
+        if isinstance(self.sigma_rule, str):
+            if self.sigma_rule != "k+1.5":
+                raise ValueError("sigma_rule must be 'k+1.5' or a number")
+        elif not 0.0 < self.sigma_rule < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma_rule}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import ldglayer.cli as cli
 import ldglayer.study as study
 from ldglayer.cli import main as cli_main
 from ldglayer.errors import fit_rate, rate_r2
@@ -25,6 +26,12 @@ def test_config_validation():
         StudyConfig(degrees=(4,))
     with pytest.raises(ValueError):
         StudyConfig(sigma_rule="k+2")
+    for eps in (2.0, 1.0, 0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError):
+            StudyConfig(eps_list=(1e-4, eps))
+    for sigma in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            StudyConfig(sigma_rule=sigma)
     assert StudyConfig(sigma_rule=3.0).sigma_for(1) == 3.0
     assert StudyConfig().sigma_for(2) == 3.5
 
@@ -207,12 +214,45 @@ def test_cli_range_degree_syntax(tmp_path):
     assert len(lines) == 3  # k = 0 and k = 1
 
 
-def test_cli_bad_input_exit_code(tmp_path):
+def test_cli_bad_input_exit_code(tmp_path, monkeypatch):
+    """Bad input exits 2 before any row runs."""
+    monkeypatch.setattr(cli, "run_study", lambda config: pytest.fail("ran"))
     assert cli_main(["--mesh", "zz"]) == 2
     assert cli_main(["--nmin", "32", "--nmax", "16"]) == 2
     # doubling from N <= 0 would never reach nmax
     assert cli_main(["--nmin", "0", "--nmax", "16"]) == 2
     assert cli_main(["--nmin", "-16", "--nmax", "16"]) == 2
+    assert cli_main(["--k", "3..1"]) == 2
+    for eps in ("2", "0"):
+        assert cli_main(["--eps", eps]) == 2
+    for sigma in ("-1", "0"):
+        assert cli_main(["--sigma", sigma]) == 2
+    # removed keys and formats argparse cannot check are refused in a file
+    for line in ("quad-error=20", "format=tsv"):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"mesh=s\nk=1\n{line}\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quad-error", "20"],
+    ["--quad-assembly", "4"],
+    ["mesh-dump", "--mesh", "s", "--n", "16", "--eps", "1e-4", "--sigma",
+     "2.5", "--alpha", "1"],
+    ["matrix-dump", "--mesh", "s", "--n", "8", "--eps", "1e-4", "--sigma",
+     "2.5", "--k", "1", "--alpha", "1"],
+])
+def test_cli_removed_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+
+
+def test_study_flags_match_config_keys():
+    """The config file takes the same keys as the study's long flags."""
+    flags = {opt for action in cli._study_parser()._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    assert flags - {"--help", "--config"} == {f"--{key}" for key in cli._STUDY_KEYS}
 
 
 def test_cli_plot_dir(tmp_path):
