@@ -101,9 +101,9 @@ class MeshSpec:
             raise ValueError(f"N must be an even integer >= 4, got {self.N}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.alpha <= 0.0:
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 

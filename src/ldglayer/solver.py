@@ -32,27 +32,30 @@ flux is carried by X, not Y, so the two upper node unknowns do not both
 contain P^+: that choice leaves far fewer condensed solves above the
 refinement threshold.
 
-``assemble`` builds the per-element diagonal blocks D and these node
-factors first, and writes A from them in block sparse row (BSR) storage of
-(k+1) x (k+1) field blocks.  Block row (e, field) holds, in ascending
-column order, a fixed list of blocks of elements e-1, e and e+1: 3 for a
-U-row, 3 for a P-row and 7 for a Q-row of an interior element.  The pattern
-thus follows from (N, k) alone, one index is stored per block rather than
-per entry, and each block is written once into its slot (a coupling block
-as the product of its node factors).
+``assemble`` builds these node factors and writes A in block sparse row
+(BSR) storage of (k+1) x (k+1) field blocks.  Block row (e, field) holds,
+in ascending column order, a fixed list of blocks of elements e-1, e and
+e+1: 3 for a U-row, 3 for a P-row and 7 for a Q-row of an interior element.
+The pattern thus follows from (N, k) alone, one index is stored per block
+rather than per entry, and each block is written once into its slot: a
+coupling block as the product of its node factors, each of the 7 nonzero
+field blocks of element e's diagonal block D as it is formed.  A's data is
+the only store of D.
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
-one batched local solve, factors only the block-tridiagonal trace system
-of 3(N-1) node unknowns (whatever k is) with LAPACK's banded LU with
-partial pivoting (kl = 3, ku = 4), and recovers the element unknowns from
-the node values.  It then runs extended-precision iterative refinement
-against the assembled A, which stops once the residual meets the advertised
-tolerance or reaches the float64 rounding floor eps_mach * || |A| |x| ||_inf,
-below which no float64-stored solution can go.  The long-double residuals
+local solves of D, gathered from A's data and solved a chunk of elements at
+a time, factors only the block-tridiagonal trace system of 3(N-1) node
+unknowns (whatever k is) with LAPACK's banded LU with partial pivoting
+(kl = 3, ku = 4), and recovers the element unknowns from the node values.
+It then runs extended-precision iterative refinement against the assembled
+A, which stops once the residual meets the advertised tolerance or reaches
+the float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
+float64-stored solution can go.  The long-double residuals
 and the floor are accumulated by ``_matvec``, which runs scipy's compiled
 BSR product kernel (``bsr_matvec``) in place a chunk of block rows at a
-time, converting each chunk's blocks into one reused buffer rather than
-copying A whole.
+time, reading A's float64 blocks where they are and converting a chunk of
+|A| or of long-double blocks into one reused buffer, never copying A
+whole.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
 _MATVEC_CHUNK = 1 << 10     # block rows of A converted at a time by _matvec
+_LOCAL_CHUNK = 1 << 9       # elements whose diagonal blocks _Condensed solves at a time
 _KL, _KU = 3, 4             # lower and upper bandwidths of the trace system S
 _VALIDATION_GRID = 2001
 
@@ -139,7 +143,9 @@ class SolveInfo:
     ``residual_inf`` is ||b - A x||_inf of the returned x, accumulated in
     long double when the float64 residual called for refinement (even if
     the long-double one then met the stop rule, ``refine_steps`` = 0) and
-    in float64 otherwise.
+    in float64 otherwise.  ``refine_steps`` counts the correction solves
+    run; when the last one was undone (see ``solve``), x is the iterate
+    before it.
     ``growth_factor`` is max|U_S| / max|S| for the LU factor U_S of the
     condensed trace system S, the only matrix factored whole, by LAPACK's
     banded LU (kl = 3, ku = 4); it is 0 for N = 1, where there is no trace
@@ -211,18 +217,18 @@ class BlockSystem:
     the U-equation, P-equation and Q-equation row groups.
 
     ``matrix`` is stored as BSR with (k+1) x (k+1) blocks, one block row per
-    (element, field); ``assemble`` wrote it from the block form also held here:
-    ``diag[e]`` is element e's (3(k+1), 3(k+1)) diagonal block, and at each
-    interior node e+1 (index e = 0..N-2) the coupling of element e's rows to
-    element e+1's columns is ``node_x[e] @ node_y[e].T`` and that of element
-    e+1's rows to element e's columns is ``node_z[e] @ node_r[e].T``.
+    (element, field), in the block pattern ``assemble`` writes, which depends
+    on (N, k) alone.  Its diagonal blocks D, element e's (3(k+1), 3(k+1))
+    block, are held there only; at each interior node e+1 (index e =
+    0..N-2) the coupling of element e's rows to element e+1's columns is
+    ``node_x[e] @ node_y[e].T`` and that of element e+1's rows to element
+    e's columns is ``node_z[e] @ node_r[e].T``, the factors kept here.
     """
 
     matrix: sparse.bsr_matrix
     rhs: np.ndarray
     mesh: Mesh
     k: int
-    diag: np.ndarray        # (N, 3(k+1), 3(k+1))
     node_x: np.ndarray      # (N-1, 3(k+1), 2), rows of element e
     node_y: np.ndarray      # (N-1, 3(k+1), 2), columns of element e+1
     node_z: np.ndarray      # (N-1, 3(k+1), 1), rows of element e+1
@@ -238,6 +244,53 @@ class BlockSystem:
 
 def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("el,em->elm", left, right)
+
+
+# Block row (e, field) holds these (k+1) x (k+1) blocks in ascending column
+# order, as (column element - e, column field): Z R^T of node e-1 (e > 0),
+# D for column element e and X Y^T of node e (e < N-1).
+_ROW_BLOCKS = (((-1, 0), (0, 0), (0, 1)),
+               ((0, 1), (0, 2), (1, 1)),
+               ((-1, 0), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
+
+
+def _block_count(n: int) -> int:
+    """Blocks A stores on n elements: 13 per interior element, 11 and 9 at
+    the two ends, 7 on a single element."""
+    return 13 * n - 6 if n > 1 else 7
+
+
+def _element_groups(n: int):
+    """Yield (lo, hi, start, blocks) for the runs of elements 0, 1..N-2 and
+    N-1, which each share one block pattern: ``blocks`` lists one element's
+    blocks as (row field, column element - e, column field) in slot order,
+    and the run's blocks fill A's data from block ``start`` on, element by
+    element."""
+    start = 0
+    for lo, hi in [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1):
+        present = {-1: lo > 0, 0: True, 1: hi < n}
+        blocks = [(row_field, *blk) for row_field, row in enumerate(_ROW_BLOCKS)
+                  for blk in row if present[blk[0]]]
+        yield lo, hi, start, blocks
+        start += (hi - lo) * len(blocks)
+
+
+def _diagonal_views(data: np.ndarray, n: int) -> list[tuple[int, int, dict]]:
+    """Where the diagonal blocks D live in A's BSR data: (lo, hi, views) per
+    element run of ``_element_groups``, with ``views`` mapping each of D's 7
+    stored field blocks (row field, column field) to the strided
+    (hi - lo, k+1, k+1) view of those elements' blocks."""
+    if data.shape[0] != _block_count(n):
+        raise ValueError(f"A holds {data.shape[0]} blocks, not the "
+                         f"{_block_count(n)} of assemble's pattern on {n} elements")
+    out = []
+    for lo, hi, start, blocks in _element_groups(n):
+        region = data[start:start + (hi - lo) * len(blocks)].reshape(
+            hi - lo, len(blocks), *data.shape[1:])
+        out.append((lo, hi, {(row_field, col_field): region[:, slot]
+                             for slot, (row_field, col_shift, col_field) in enumerate(blocks)
+                             if col_shift == 0}))
+    return out
 
 
 def assemble(problem: Problem, mesh: Mesh, k: int,
@@ -258,48 +311,12 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     eps = problem.eps
     h = mesh.widths
 
-    tq, wq = quad.nodes, quad.weights
-    p_tab = legendre_table(k, tq)
-    dp_tab = legendre_deriv_table(k, tq)
-    x, _ = quad_points(mesh, quad)
-    aq, bq, cq, bpq = problem.at(x)
-    cbq = cq - bpq
-
     left, right = basis_traces(h, k)                             # (n, m)
     s = right                                                    # basis scales
-
-    # <coeff * trial_m, test_l'>; the h factors cancel into the s scales.
-    d_a = np.einsum("eq,lq,mq->elm", wq[None, :] * aq, dp_tab, p_tab)
-    d_a *= s[:, :, None] * s[:, None, :]
-    d_b = np.einsum("eq,lq,mq->elm", wq[None, :] * bq, dp_tab, p_tab)
-    d_b *= s[:, :, None] * s[:, None, :]
-    d_one = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
-    d_one = d_one * (s[:, :, None] * s[:, None, :])
-    mass_cb = np.einsum("eq,lq,mq->elm", (wq[None, :] * cbq) * (0.5 * h[:, None]),
-                        p_tab, p_tab)
-    mass_cb *= s[:, :, None] * s[:, None, :]
+    ss = s[:, :, None] * s[:, None, :]
 
     an = _sample(problem.a, mesh.nodes)
     b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
-
-    rxr = _outer(right, right)
-    lxl = _outer(left, left)
-
-    # Diagonal blocks (element e tested against its own unknowns), indexed
-    # (element, row field, row mode, column field, column mode).
-    diag = np.zeros((n, 3, m, 3, m))
-    diag[:, 0, :, 0] = d_one
-    diag[:-1, 0, :, 0] -= rxr[:-1]             # Uhat_N = 0 drops the last one
-    diag[:, 0, :, 1] = np.eye(m)
-    diag[:, 1, :, 1] = eps * (d_one + lxl)
-    diag[:, 1, :, 2] = np.eye(m)
-    diag[:, 2, :, 0] = (-d_b + mass_cb + b_up[1:, None, None] * rxr
-                        - b_dn[:-1, None, None] * lxl)
-    diag[:, 2, :, 1] = d_a + an[:-1, None, None] * lxl
-    diag[-1, 2, :, 1] -= an[-1] * rxr[-1]      # Ptilde_N = P_N^-
-    diag[:, 2, :, 2] = -d_one - lxl
-    diag[-1, 2, :, 2] += rxr[-1]               # Qhat_N = Q_N^-
-    del d_a, d_b, d_one, mass_cb, rxr, lxl, x, aq, bq, cq, bpq, cbq
 
     # Node factors at interior node e+1: rows e x columns e+1 is X Y^T and
     # rows e+1 x columns e is Z R^T, with r = element e's right trace and
@@ -319,46 +336,74 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     node_r = np.zeros((n - 1, 3, m, 1))
     node_r[:, 0, :, 0] = r_e
 
-    # Block row (e, field) holds these (k+1) x (k+1) blocks in ascending
-    # column order, as (column element - e, column field): Z R^T of node
-    # e-1 (e > 0), D for column element e and X Y^T of node e (e < N-1).
-    fields = (((-1, 0), (0, 0), (0, 1)),
-              ((0, 1), (0, 2), (1, 1)),
-              ((-1, 0), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
     dim = 3 * m * n
-    nnzb = 13 * n - 6 if n > 1 else 7
+    nnzb = _block_count(n)
     idx_dtype = np.int32 if max(nnzb, dim) <= np.iinfo(np.int32).max else np.int64
     data = np.empty((nnzb, m, m))
     indices = np.empty(nnzb, dtype=idx_dtype)
     row_counts = np.empty((n, 3), dtype=np.int64)
 
-    # Elements 0, 1..N-2 and N-1 each share one block pattern; every block
-    # is written straight into a view of its contiguous slice (a coupling
-    # block as the product of its node factors).
-    groups = [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1)
-    start = 0
-    for lo, hi in groups:
-        present = {-1: lo > 0, 0: True, 1: hi < n}
-        per_field = [[blk for blk in blocks if present[blk[0]]] for blocks in fields]
-        row_counts[lo:hi] = [len(blocks) for blocks in per_field]
-        per_element = sum(len(blocks) for blocks in per_field)
-        size = (hi - lo) * per_element
-        region_d = data[start:start + size].reshape(hi - lo, per_element, m, m)
-        region_i = indices[start:start + size].reshape(hi - lo, per_element)
+    # Each coupling block is written straight into its slot as the product
+    # of its node factors.
+    for lo, hi, start, blocks in _element_groups(n):
+        span = slice(start, start + (hi - lo) * len(blocks))
+        region_d = data[span].reshape(hi - lo, len(blocks), m, m)
+        region_i = indices[span].reshape(hi - lo, len(blocks))
+        row_counts[lo:hi] = np.bincount([blk[0] for blk in blocks], minlength=3)
         elements = np.arange(lo, hi)
-        slot = 0
-        for row_field, blocks in enumerate(per_field):
-            for col_shift, col_field in blocks:
+        for slot, (row_field, col_shift, col_field) in enumerate(blocks):
+            region_i[:, slot] = 3 * (elements + col_shift) + col_field
+            if col_shift:
                 part = slice(lo + min(col_shift, 0), hi + min(col_shift, 0))
-                if col_shift == 0:
-                    region_d[:, slot] = diag[part, row_field, :, col_field]
-                else:
-                    f, g = (node_x, node_y) if col_shift > 0 else (node_z, node_r)
-                    np.matmul(f[part, row_field], g[part, col_field].transpose(0, 2, 1),
-                              out=region_d[:, slot])
-                region_i[:, slot] = 3 * (elements + col_shift) + col_field
-                slot += 1
-        start += size
+                f, g = (node_x, node_y) if col_shift > 0 else (node_z, node_r)
+                np.matmul(f[part, row_field], g[part, col_field].transpose(0, 2, 1),
+                          out=region_d[:, slot])
+
+    # D's field blocks (element e tested against its own unknowns) go
+    # straight into their slots, each formed for all elements at once from
+    # pieces that live only while it is written; (U, Q) and (P, U) are zero.
+    views = _diagonal_views(data, n)
+
+    def put(row_field: int, col_field: int, block: np.ndarray) -> None:
+        for lo, hi, group in views:
+            group[row_field, col_field][...] = block[lo:hi]
+
+    def volume(weight: np.ndarray, test_tab: np.ndarray) -> np.ndarray:
+        """<weight * trial_m, test_l> per element, times the basis scales
+        s_l s_m; against test derivatives the h factors cancel into them."""
+        out = np.einsum("eq,lq,mq->elm", weight, test_tab, p_tab)
+        out *= ss
+        return out
+
+    tq, wq = quad.nodes, quad.weights
+    p_tab = legendre_table(k, tq)
+    dp_tab = legendre_deriv_table(k, tq)
+    x, _ = quad_points(mesh, quad)
+    aq, bq, cq, bpq = problem.at(x)
+    del x
+    d_one = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :] * ss
+    rxr = _outer(right, right)
+    lxl = _outer(left, left)
+
+    eye = np.broadcast_to(np.eye(m), (n, m, m))
+    put(0, 1, eye)
+    put(1, 2, eye)
+    block = d_one.copy()
+    block[:-1] -= rxr[:-1]                     # Uhat_N = 0 drops the last one
+    put(0, 0, block)
+    put(1, 1, eps * (d_one + lxl))
+    block = -d_one - lxl
+    block[-1] += rxr[-1]                       # Qhat_N = Q_N^-
+    put(2, 2, block)
+    del d_one
+    block = volume(wq[None, :] * aq, dp_tab) + an[:-1, None, None] * lxl
+    block[-1] -= an[-1] * rxr[-1]              # Ptilde_N = P_N^-
+    put(2, 1, block)
+    del block, aq
+    put(2, 0, (-volume(wq[None, :] * bq, dp_tab)
+               + volume((wq[None, :] * (cq - bpq)) * (0.5 * h[:, None]), p_tab)
+               + b_up[1:, None, None] * rxr - b_dn[:-1, None, None] * lxl))
+    del rxr, lxl, bq, cq, bpq
 
     indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
     np.cumsum(row_counts.ravel(), out=indptr[1:])
@@ -368,7 +413,6 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
 
     return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k,
-                       diag=diag.reshape(n, 3 * m, 3 * m),
                        node_x=node_x.reshape(n - 1, 3 * m, 2),
                        node_y=node_y.reshape(n - 1, 3 * m, 2),
                        node_z=node_z.reshape(n - 1, 3 * m, 1),
@@ -378,24 +422,29 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
 def _matvec(a: sparse.bsr_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
     """A @ x, or |A| @ x, accumulated in x's dtype without a copy of A.
 
-    A's blocks are converted to x's dtype one chunk of _MATVEC_CHUNK block
-    rows at a time, into one buffer reused for every chunk, and scipy's
-    compiled BSR product kernel, the one ``a @ x`` runs, writes that chunk's
-    rows of y in place.  Every row therefore sums the same products in the
-    same order, and the result is bit-identical to ``a.astype(x.dtype) @ x``.
+    scipy's compiled BSR product kernel, the one ``a @ x`` runs, writes the
+    rows of y in place one chunk of _MATVEC_CHUNK block rows at a time.  It
+    reads A's float64 blocks where they are; a chunk of |A| or of A in
+    another dtype is converted into one buffer reused for every chunk.
+    Every row therefore sums the same products in the same order, and the
+    result is bit-identical to ``a.astype(x.dtype) @ x``.
     """
     r, c = a.blocksize
     n_brow = a.shape[0] // r
     starts = range(0, n_brow, _MATVEC_CHUNK)
     bounds = a.indptr[[*starts, n_brow]]
-    vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=x.dtype)
+    direct = not absolute and a.data.dtype == x.dtype
+    if not direct:
+        vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=x.dtype)
     y = np.zeros(a.shape[0], dtype=x.dtype)
     for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
         r1 = min(r0 + _MATVEC_CHUNK, n_brow)
-        chunk = vals[:hi - lo]
-        if absolute:
-            np.abs(a.data[lo:hi], out=chunk)
+        if direct:
+            chunk = a.data[lo:hi]
+        elif absolute:
+            chunk = np.abs(a.data[lo:hi], out=vals[:hi - lo])
         else:
+            chunk = vals[:hi - lo]
             chunk[...] = a.data[lo:hi]
         bsr_matvec(r1 - r0, a.shape[1] // c, r, c, a.indptr[r0:r1 + 1] - lo,
                    a.indices[lo:hi], chunk.reshape(-1), x, y[r0 * r:r1 * r])
@@ -428,26 +477,34 @@ class _Condensed:
     x = D^-1 b - D^-1 [X Z] t.  S is banded (kl = 3, ku = 4) and factored
     by LAPACK's ``dgbtrf``; ``x`` is the solution for the assembled rhs, and
     ``solve`` repeats the elimination for a new right-hand side with
-    ``dgbtrs``, so refinement steps reuse the local blocks and the LU of S.
+    ``dgbtrs``, so refinement steps reuse the LU of S.
+
+    The diagonal blocks D are read from A's BSR data, where ``assemble``
+    wrote them, _LOCAL_CHUNK elements at a time: each chunk's blocks are
+    gathered into one reused buffer and solved by one batched LAPACK call,
+    which solves every block on its own, so the chunking leaves the results
+    bit-identical to a single batch.
     """
 
     def __init__(self, system: BlockSystem) -> None:
-        self.diag, self.node_y, self.node_r = system.diag, system.node_y, system.node_r
-        n, width = self.diag.shape[:2]
-        # One batched local solve gives D^-1 X, D^-1 Z and D^-1 b together;
+        self.node_y, self.node_r = system.node_y, system.node_r
+        self.n, self.m = system.mesh.n_elements, system.k + 1
+        n, width = self.n, 3 * self.m
+        self._views = _diagonal_views(system.matrix.data, n)
+        # The first local solve gives D^-1 X, D^-1 Z and D^-1 b together;
         # X of node e sits in element e, Z in element e+1.
-        local = np.zeros((n, width, 4))
-        local[:-1, :, :2] = system.node_x
-        local[1:, :, 2:3] = system.node_z
-        local[:, :, 3] = system.rhs.reshape(n, width)
-        try:
-            sol = np.linalg.solve(self.diag, local)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular LDG system: local block: {exc}") from exc
-        del local
-        self.dxz = sol[:, :, :3].copy()     # D^-1 [X Z]
-        x = sol[:, :, 3].copy()
-        del sol
+        self.dxz = np.empty((n, width, 3))      # D^-1 [X Z]
+        x = np.empty((n, width))
+        rhs = system.rhs.reshape(n, width)
+        for lo, hi, d in self._local_blocks():
+            local = np.zeros((hi - lo, width, 4))
+            local[:min(hi, n - 1) - lo, :, :2] = system.node_x[lo:hi]
+            local[max(lo, 1) - lo:, :, 2:3] = system.node_z[max(lo, 1) - 1:hi - 1]
+            local[:, :, 3] = rhs[lo:hi]
+            sol = _solve_local(d, local)
+            self.dxz[lo:hi] = sol[:, :, :3]
+            x[lo:hi] = sol[:, :, 3]
+        del local, sol
         self.lub = None
         if n > 1:
             ab = _trace_band(self._node_traces(self.dxz))
@@ -456,6 +513,22 @@ class _Condensed:
             if info > 0:
                 raise RuntimeError(f"singular LDG system: trace pivot {info} is zero")
         self.x = self._back_substitute(x)
+
+    def _local_blocks(self):
+        """Yield (lo, hi, D) for each run of _LOCAL_CHUNK elements lo..hi-1,
+        D their diagonal blocks gathered from A's data into one buffer
+        reused for every run, as (hi - lo, 3(k+1), 3(k+1))."""
+        n, m = self.n, self.m
+        buf = np.zeros((min(n, _LOCAL_CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
+        for lo in range(0, n, _LOCAL_CHUNK):
+            hi = min(lo + _LOCAL_CHUNK, n)
+            d = buf[:hi - lo]
+            for g_lo, g_hi, views in self._views:
+                a, b = max(lo, g_lo), min(hi, g_hi)
+                if a < b:
+                    for (row_field, col_field), view in views.items():
+                        d[a - lo:b - lo, row_field, :, col_field] = view[a - g_lo:b - g_lo]
+            yield lo, hi, d.reshape(hi - lo, 3 * m, 3 * m)
 
     def growth_factor(self) -> float:
         """max|U_S| / max|S|, 0 without a trace system; U_S fills the first
@@ -481,8 +554,20 @@ class _Condensed:
         return local.ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        local = np.linalg.solve(self.diag, rhs.reshape(*self.diag.shape[:2], 1))
-        return self._back_substitute(local[:, :, 0])
+        """The condensed solve for a new right-hand side, written over the
+        contiguous float64 array rhs and returned."""
+        local = rhs.reshape(self.n, 3 * self.m)
+        for lo, hi, d in self._local_blocks():
+            local[lo:hi] = _solve_local(d, local[lo:hi, :, None])[:, :, 0]
+        return self._back_substitute(local)
+
+
+def _solve_local(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """D^-1 rhs for a batch of local blocks D, one LAPACK solve per block."""
+    try:
+        return np.linalg.solve(d, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"singular LDG system: local block: {exc}") from exc
 
 
 def _trace_band(t: np.ndarray) -> np.ndarray:
@@ -535,14 +620,19 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     float64-stored x can carry a smaller residual, so further steps cannot
     pay.  A float64 residual decides whether to refine at all (its rounding
     noise only adds to it).  Refinement is the classical scheme: the float64
-    iterate x is corrected in place by the condensed solve of its residual
+    iterate x is corrected by the condensed solve of its residual
     accumulated in extended precision (near the floor a double-precision
     residual is dominated by its own rounding noise), at most ``max_refine``
     times, and it also stops once a step leaves that residual no smaller,
     the sign that it has reached the floor.  The last iterate is returned:
     at the floor the residual is noise (Bakhvalov k = 1, N = 65536: the
     refined iterate's l2u is within 1e-11 of the converged value, the
-    unrefined one's 5e-5 off, though its residual is smaller).
+    unrefined one's 5e-5 off, though its residual is smaller).  Only when
+    the last iterate fails the final check below and the one before the
+    last step passes it is that one returned, with its own residual: near
+    eps = 1e-12 a step can land 6-7 times above a residual that already met
+    the check (Bakhvalov-Shishkin k = 2, N = 4096: 2.4e-8 to 1.6e-7 against
+    an allowed 9.6e-8).
 
     Raises RuntimeError if a local block or the trace system is singular,
     or if the residual is not finite (NaN or inf in the data or the
@@ -553,11 +643,19 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     b = system.rhs
     lu = _Condensed(system)
     x = lu.x
-    del lu.x                # refinement corrects x in place: hold it only here
+    del lu.x                # the iterate is held only here
     b_inf = _inf_norm(b)
     target = RESIDUAL_RTOL * b_inf
     floor = _rounding_floor(a, x)
     stop = max(0.3 * target, floor)
+
+    def passes(r: float, floor: float) -> bool:
+        # Below the floor the stated relative bound is unattainable
+        # regardless of solver, so the check enforces the stricter of the
+        # relative bound and four times the floor.  A NaN residual fails the
+        # comparison, and an infinite one is refused even when an infinite
+        # ||rhs||_inf would allow it.
+        return r <= max(target, 4.0 * floor) and math.isfinite(r)
 
     # Fast path: a float64 residual already at the stop threshold is
     # trustworthy (measurement noise only adds to it).
@@ -566,24 +664,31 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     if r_inf > stop:
         resid = _residual(a, b, x.astype(np.longdouble))
         r_inf = _inf_norm(resid)
+        x_prev = None
         while r_inf > stop and steps < max_refine:
             correction, resid = resid.astype(float), None   # freed before the solve
-            x += lu.solve(correction)
+            # The new iterate is formed in the correction's buffer and, while
+            # its residual is accumulated, held only as its exact long-double
+            # image, so keeping the previous one costs no extra peak memory.
+            x_prev, r_prev = x, r_inf
+            x_ld = np.add(x_prev, lu.solve(correction), out=correction).astype(np.longdouble)
             del correction
             steps += 1
-            resid = _residual(a, b, x.astype(np.longdouble))
-            r_prev, r_inf = r_inf, _inf_norm(resid)
+            resid = _residual(a, b, x_ld)
+            x = x_ld.astype(float)
+            del x_ld
+            r_inf = _inf_norm(resid)
             if r_inf >= r_prev:
                 break
         del resid
         floor = _rounding_floor(a, x)
+        if x_prev is not None and not passes(r_inf, floor):
+            prev_floor = _rounding_floor(a, x_prev)
+            if passes(r_prev, prev_floor):
+                x, r_inf, floor = x_prev, r_prev, prev_floor
+        del x_prev
 
-    # Below the floor the stated relative bound is unattainable regardless
-    # of solver.  Enforce the stricter of the relative bound and four times
-    # the floor.  A NaN residual fails the comparison, and an infinite one
-    # is refused even when an infinite ||rhs||_inf would allow it.
-    allowed = max(target, 4.0 * floor)
-    if not (r_inf <= allowed and math.isfinite(r_inf)):
+    if not passes(r_inf, floor):
         raise RuntimeError(
             f"solve residual {r_inf:.3e} is non-finite or exceeds {RESIDUAL_RTOL:.0e} "
             f"* ||rhs||_inf (and the float64 floor {floor:.3e})"

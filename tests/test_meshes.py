@@ -82,6 +82,12 @@ def test_spec_validation():
         MeshSpec(MeshKind.SHISHKIN, 16, 1e-4, 0.0)  # sigma
     with pytest.raises(ValueError):
         MeshSpec(MeshKind.SHISHKIN, 16, 1e-4, 2.5, alpha=-1.0)
+    # NaN passes a "<= 0" test, and an infinite sigma clamps to a uniform mesh
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            MeshSpec(MeshKind.SHISHKIN, 16, 1e-4, sigma)
+    with pytest.raises(ValueError, match="alpha"):
+        MeshSpec(MeshKind.SHISHKIN, 16, 1e-4, 2.5, alpha=float("nan"))
 
 
 def test_transition_tau_shishkin():

@@ -135,8 +135,8 @@ def test_assembled_pattern(n, k):
 
 def test_assembly_memory_is_bounded_by_the_output():
     """Assembly writes the BSR arrays in place, so its traced peak stays
-    within 3x the bytes it returns: the BSR arrays, the rhs and the block
-    form."""
+    within 3x the bytes it returns: the BSR arrays, the rhs and the node
+    factors (the diagonal blocks are stored in the BSR data only)."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -148,7 +148,7 @@ def test_assembly_memory_is_bounded_by_the_output():
             tracemalloc.stop()
         a = system.matrix
         out = sum(arr.nbytes for arr in (a.data, a.indices, a.indptr, system.rhs,
-                                         system.diag, system.node_x, system.node_y,
+                                         system.node_x, system.node_y,
                                          system.node_z, system.node_r))
         assert peak <= 3 * out, (k, peak / out)
 
@@ -292,6 +292,28 @@ def test_refinement_keeps_a_refined_iterate_at_the_rounding_floor():
     assert abs(l2u(solve(system, max_refine=0)) / converged - 1.0) > 1e-6
 
 
+def test_refinement_falls_back_to_the_iterate_that_passes():
+    """At Bakhvalov-Shishkin k = 2, eps = 1e-12, N = 4096 the unrefined
+    iterate passes the final check (long-double residual 2.4e-8 against 4x
+    a floor of 2.4e-8) but its refinement step lands at 1.6e-7 and fails
+    it; solve returns the unrefined iterate with its own residual instead
+    of raising."""
+    case = boundary_layer_case(1e-12)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV_SHISHKIN, 4096, 1e-12, 3.5))
+    system = assemble(case.problem, mesh, 2)
+    w = solve(system)
+    assert w.info.refine_steps == 1
+    x = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
+    unrefined = solve(system, max_refine=0)
+    assert np.array_equal(x, np.stack([unrefined.U.coeffs, unrefined.P.coeffs,
+                                       unrefined.Q.coeffs], axis=1).ravel())
+    a, b = system.matrix, system.rhs
+    r_inf = solver._inf_norm(solver._residual(a, b, x.astype(np.longdouble)))
+    assert w.info.residual_inf == r_inf
+    floor = solver._rounding_floor(a, x)
+    assert r_inf <= max(solver.RESIDUAL_RTOL * w.info.rhs_inf, 4.0 * floor)
+
+
 def test_chunked_matvec_is_bit_identical(monkeypatch):
     """The extended residual and the rounding floor read A a few block rows
     at a time, yet add the same products in the same order as a full
@@ -328,6 +350,7 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
     a_ld, abs_a = a.astype(np.longdouble), abs(a)
     floor = float((abs_a @ np.abs(x)).max()) * float(np.finfo(float).eps)
     for m in (a, wide):
+        assert np.array_equal(solver._matvec(m, x), a @ x)
         assert np.array_equal(solver._matvec(m, x_ld), a_ld @ x_ld)
         assert np.array_equal(solver._matvec(m, x_ld, absolute=True), abs(a_ld) @ x_ld)
         assert np.array_equal(solver._matvec(m, x, absolute=True), abs_a @ x)
@@ -337,7 +360,8 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
 def test_matvec_memory_is_its_result_and_one_chunk_buffer():
     """Every chunk is converted into the same buffer, so the traced peak of
     _matvec stays within y, one chunk's blocks in x's dtype and 64 KiB of
-    slack (index offsets of one chunk, loop bookkeeping)."""
+    slack (index offsets of one chunk, loop bookkeeping); A @ x for a
+    float64 x reads A's blocks where they are, with no buffer at all."""
     a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
     r, c = a.blocksize
     n_brow = a.shape[0] // r
@@ -345,25 +369,30 @@ def test_matvec_memory_is_its_result_and_one_chunk_buffer():
     bounds = a.indptr[[*range(0, n_brow, solver._MATVEC_CHUNK), n_brow]]
     chunk_nnz = int(np.diff(bounds).max()) * r * c
     x = np.random.default_rng(3).standard_normal(a.shape[1])
-    for xs, absolute in ((x.astype(np.longdouble), False), (np.abs(x), True)):
+    for xs, absolute, buffered in ((x.astype(np.longdouble), False, True),
+                                   (np.abs(x), True, True), (x, False, False)):
         tracemalloc.start()
         try:
             y = solver._matvec(a, xs, absolute=absolute)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = y.nbytes + chunk_nnz * xs.itemsize + (64 << 10)
+        bound = y.nbytes + buffered * chunk_nnz * xs.itemsize + (64 << 10)
         assert peak <= bound, (xs.dtype, peak / (y.nbytes + chunk_nnz * xs.itemsize))
 
 
 def test_solve_memory_is_bounded_by_the_rhs():
-    """solve corrects its float64 iterate in place with no extended-precision
-    copy, holds one long-double residual at a time and frees it before the
-    correction solve, frees the local right-hand sides and the trace matrix
-    once they are spent, forms residuals in the product's buffer, and holds
-    the banded LU factor of the trace system, which tracemalloc sees, so its
-    traced peak on top of the system stays within 16x the bytes of the rhs
-    (15.2x at k = 1, 13.8x at k = 3).  Both rows take one refinement step."""
+    """solve forms each refined float64 iterate in the buffer of its
+    correction, which the local solves overwrite chunk by chunk, and holds
+    it only as its long-double image while its residual is accumulated, so
+    keeping the previous iterate costs no extra peak; it holds one
+    long-double residual at a time and frees it before the correction
+    solve, gathers the local blocks one chunk at a time, frees the trace
+    matrix once it is factored, forms residuals in the product's buffer,
+    and holds the banded LU factor of the trace system, which tracemalloc
+    sees, so its traced peak on top of the system stays within 16x the
+    bytes of the rhs (15.3x at k = 1, 13.8x at k = 3).  Both rows take one
+    refinement step."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -378,35 +407,55 @@ def test_solve_memory_is_bounded_by_the_rhs():
         assert peak <= 16 * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
 
 
+def _in_assembled_pattern(dense, n, k):
+    """``dense`` written into the BSR block pattern ``assemble`` uses on n
+    elements of degree k; it must vanish outside that pattern."""
+    pattern = assemble(_varying_problem(0.05), uniform_mesh(n), k).matrix
+    m = k + 1
+    rows = np.repeat(np.arange(3 * n), np.diff(pattern.indptr))
+    data = np.stack([dense[r * m:(r + 1) * m, c * m:(c + 1) * m]
+                     for r, c in zip(rows, pattern.indices)])
+    matrix = sparse.bsr_matrix((data, pattern.indices, pattern.indptr), shape=dense.shape)
+    assert np.array_equal(matrix.toarray(), dense)
+    return matrix
+
+
 def _singular_trace_system():
-    """N = 2, k = 0 with D = I and rank-one couplings X Y^T = Z R^T = e_0 e_0^T,
-    so S = I + [Y R]^T [X Z] and A = D + X Y^T + Z R^T are both singular."""
-    e0 = np.eye(3)[:, :1]
-    node_x = np.concatenate([e0, np.zeros((3, 1))], axis=1)[None]
+    """N = 2, k = 0 with invertible local blocks D (element 0's U-row reads
+    P, element 1's P-row reads Q) and rank-one couplings X Y^T = e_P e_P^T
+    and Z R^T = e_Q e_U^T, so S = I + [Y R]^T D^-1 [X Z] = [[1, 0, -1],
+    [0, 1, 0], [-1, 0, 1]] and A = D + X Y^T + Z R^T are both singular."""
+    eye = np.eye(3)
+    node_x = np.stack([eye[1], np.zeros(3)], axis=1)[None]       # X = [e_P 0]
+    node_z, node_r = eye[:, 2:][None], eye[:, :1][None]         # Z = e_Q, R = e_U
     dense = np.eye(6)
+    dense[0, 1] = dense[4, 5] = 1.0
     dense[:3, 3:] += node_x[0] @ node_x[0].T
-    dense[3:, :3] += e0 @ e0.T
-    return solver.BlockSystem(matrix=sparse.bsr_matrix(dense, blocksize=(1, 1)),
+    dense[3:, :3] += node_z[0] @ node_r[0].T
+    assert np.linalg.matrix_rank(dense) < 6
+    return solver.BlockSystem(matrix=_in_assembled_pattern(dense, 2, 0),
                               rhs=np.ones(6), mesh=uniform_mesh(2), k=0,
-                              diag=np.stack([np.eye(3)] * 2),
                               node_x=node_x, node_y=node_x.copy(),
-                              node_z=e0[None].copy(), node_r=e0[None].copy())
+                              node_z=node_z, node_r=node_r)
 
 
 def _singular_local_block():
     """The regular N = 3 system with one row of the second element's
-    diagonal block zeroed: condensation needs every local block to be
-    invertible."""
+    diagonal block zeroed inside A's data: condensation needs every local
+    block to be invertible."""
     system = assemble(_varying_problem(0.05), uniform_mesh(3), 1)
-    diag = system.diag.copy()
-    diag[1, 0, :] = 0.0
-    return dataclasses.replace(system, diag=diag)
+    a = system.matrix.copy()
+    row = 3                                         # element 1's U-row
+    for slot in range(a.indptr[row], a.indptr[row + 1]):
+        if a.indices[slot] // 3 == 1:               # a block of D, column element 1
+            a.data[slot, 0, :] = 0.0
+    assert not a.toarray()[6, 6:12].any()
+    return dataclasses.replace(system, matrix=a)
 
 
 def _zero_system():
-    return solver.BlockSystem(matrix=sparse.bsr_matrix((3, 3), blocksize=(1, 1)),
+    return solver.BlockSystem(matrix=_in_assembled_pattern(np.zeros((3, 3)), 1, 0),
                               rhs=np.ones(3), mesh=uniform_mesh(1), k=0,
-                              diag=np.zeros((1, 3, 3)),
                               node_x=np.zeros((0, 3, 2)), node_y=np.zeros((0, 3, 2)),
                               node_z=np.zeros((0, 3, 1)), node_r=np.zeros((0, 3, 1)))
 
@@ -433,15 +482,18 @@ def test_non_finite_residual_raises(f):
 
 def _dense_trace_system(system):
     """S = I + [Y R]^T D^-1 [X Z] formed densely from the block form, with
-    node e's columns of [X Z] (X in element e, Z in element e+1) and of
-    [Y R] (Y in element e+1, R in element e) ordered 3e, 3e+1, 3e+2."""
-    n, width = system.diag.shape[:2]
+    D the diagonal blocks of the dense A and node e's columns of [X Z] (X in
+    element e, Z in element e+1) and of [Y R] (Y in element e+1, R in
+    element e) ordered 3e, 3e+1, 3e+2."""
+    n, width = system.mesh.n_elements, 3 * (system.k + 1)
     dim, n_trace = n * width, 3 * (n - 1)
+    a = system.matrix.toarray()
     d = np.zeros((dim, dim))
     xz = np.zeros((dim, n_trace))
     yr = np.zeros((dim, n_trace))
     for e in range(n):
-        d[e * width:(e + 1) * width, e * width:(e + 1) * width] = system.diag[e]
+        block = slice(e * width, (e + 1) * width)
+        d[block, block] = a[block, block]
     for e in range(n - 1):
         here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
         xz[here, 3 * e:3 * e + 2] = system.node_x[e]
@@ -544,19 +596,59 @@ def _bilinear_setup(problem_name, kind, n, k):
 
 @pytest.mark.parametrize("problem_name, kind, n, k", _BILINEAR_CASES)
 def test_block_form_matches_matrix(problem_name, kind, n, k):
-    """The diagonal blocks and the node products X Y^T, Z R^T that the
-    condensed solve works from rebuild the assembled matrix bit for bit."""
+    """The diagonal blocks the condensed solve gathers from A's data and the
+    node products X Y^T, Z R^T it works from rebuild the assembled matrix
+    bit for bit."""
     problem, mesh, quad = _bilinear_setup(problem_name, kind, n, k)
     system = assemble(problem, mesh, k, quad)
     width = 3 * (k + 1)
     rebuilt = np.zeros((n * width, n * width))
-    for e in range(n):
-        rebuilt[e * width:(e + 1) * width, e * width:(e + 1) * width] = system.diag[e]
+    for lo, hi, d in solver._Condensed(system)._local_blocks():
+        for e in range(lo, hi):
+            rebuilt[e * width:(e + 1) * width, e * width:(e + 1) * width] = d[e - lo]
     for e in range(n - 1):
         here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
         rebuilt[here, there] = system.node_x[e] @ system.node_y[e].T
         rebuilt[there, here] = system.node_z[e] @ system.node_r[e].T
     assert np.array_equal(rebuilt, system.matrix.toarray())
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_local_blocks_are_the_diagonal_blocks_of_a(n, k, monkeypatch):
+    """Gathered three elements at a time, so that chunks straddle the
+    first, interior and last element runs, the local blocks equal the dense
+    A's diagonal 3(k+1) blocks bit for bit, their (U, Q) and (P, U) field
+    blocks are zero, and every element comes once, in order."""
+    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 3)
+    system = assemble(_varying_problem(0.05), uniform_mesh(n), k)
+    a, m = system.matrix.toarray(), k + 1
+    width = 3 * m
+    seen = []
+    for lo, hi, d in solver._Condensed(system)._local_blocks():
+        assert d.shape == (hi - lo, width, width) and hi - lo <= 3
+        for e in range(lo, hi):
+            block = slice(e * width, (e + 1) * width)
+            assert np.array_equal(d[e - lo], a[block, block])
+            assert not d[e - lo, :m, 2 * m:].any() and not d[e - lo, m:2 * m, :m].any()
+            seen.append(e)
+    assert seen == list(range(n))
+
+
+def test_chunked_local_solves_are_bit_identical(monkeypatch):
+    """A solve whose local blocks are gathered and solved five elements at
+    a time, in the first solve and in its refinement step, returns the same
+    bits and diagnostics as one chunk spanning every element."""
+    case = boundary_layer_case(1e-12)
+    mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 64, 1e-12, 3.5))
+    system = assemble(case.problem, mesh, 2)
+    whole = solve(system)
+    assert whole.info.refine_steps >= 1
+    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 5)
+    chunked = solve(system)
+    for part in ("U", "P", "Q"):
+        assert np.array_equal(getattr(chunked, part).coeffs, getattr(whole, part).coeffs)
+    assert chunked.info == whole.info
 
 
 @pytest.mark.parametrize("k", range(4))

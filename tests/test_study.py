@@ -225,8 +225,12 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch):
     assert cli_main(["--k", "3..1"]) == 2
     for eps in ("2", "0"):
         assert cli_main(["--eps", eps]) == 2
-    for sigma in ("-1", "0"):
+    for sigma in ("-1", "0", "nan", "inf"):
         assert cli_main(["--sigma", sigma]) == 2
+    mesh_args = ["--mesh", "b", "--n", "8", "--eps", "1e-4"]
+    for sigma in ("nan", "inf"):
+        assert cli_main(["mesh-dump", *mesh_args, "--sigma", sigma]) == 2
+        assert cli_main(["matrix-dump", *mesh_args, "--k", "1", "--sigma", sigma]) == 2
     # removed keys and formats argparse cannot check are refused in a file
     for line in ("quad-error=20", "format=tsv"):
         cfg = tmp_path / "study.cfg"
