@@ -662,25 +662,30 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     r_inf = _inf_norm(_residual(a, b, x))
     steps = 0
     if r_inf > stop:
-        resid = _residual(a, b, x.astype(np.longdouble))
+        # The current iterate is held only as its exact long-double image,
+        # which its residual needs anyway, so keeping the previous float64
+        # iterate for the final check adds no peak memory.
+        x_ld = x.astype(np.longdouble)
+        del x
+        resid = _residual(a, b, x_ld)
         r_inf = _inf_norm(resid)
         x_prev = None
         while r_inf > stop and steps < max_refine:
+            x_prev = None                   # a new step runs: the older one is spent
             correction, resid = resid.astype(float), None   # freed before the solve
-            # The new iterate is formed in the correction's buffer and, while
-            # its residual is accumulated, held only as its exact long-double
-            # image, so keeping the previous one costs no extra peak memory.
-            x_prev, r_prev = x, r_inf
+            x_prev, r_prev = x_ld.astype(float), r_inf
+            del x_ld
+            # The new iterate is formed in the correction's buffer.
             x_ld = np.add(x_prev, lu.solve(correction), out=correction).astype(np.longdouble)
             del correction
             steps += 1
             resid = _residual(a, b, x_ld)
-            x = x_ld.astype(float)
-            del x_ld
             r_inf = _inf_norm(resid)
             if r_inf >= r_prev:
                 break
         del resid
+        x = x_ld.astype(float)
+        del x_ld
         floor = _rounding_floor(a, x)
         if x_prev is not None and not passes(r_inf, floor):
             prev_floor = _rounding_floor(a, x_prev)

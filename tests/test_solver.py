@@ -384,7 +384,7 @@ def test_matvec_memory_is_its_result_and_one_chunk_buffer():
 def test_solve_memory_is_bounded_by_the_rhs():
     """solve forms each refined float64 iterate in the buffer of its
     correction, which the local solves overwrite chunk by chunk, and holds
-    it only as its long-double image while its residual is accumulated, so
+    the current iterate only as its long-double image between steps, so
     keeping the previous iterate costs no extra peak; it holds one
     long-double residual at a time and frees it before the correction
     solve, gathers the local blocks one chunk at a time, frees the trace
