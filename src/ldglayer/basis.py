@@ -175,13 +175,26 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
     lead = np.exp(-beta)                    # e^{-b} b^l / (2l+1)!!
     for l in range(k + 1):
         series = beta <= max(5.0, l * l / 2.5)
-        term = total = lead[series]
+        total = lead[series]
         hs = half_sq[series]
-        for j in range(1, 40 + 6 * l):
-            term = term * hs / (j * (2 * l + 2 * j + 1))
-            if not (term > 2.0**-60 * total).any():
-                break           # this and every later term is below half an ulp
-            total = total + term
+        # Relative to the sum, the terms shrink more slowly the larger b is,
+        # so the largest b sets the cut: the first term at or below 2^-60
+        # times its sum there, below half an ulp of every sum from then on.
+        cut = 40 + 6 * l
+        if hs.size:
+            top = hs.argmax()
+            h, term, sum_top = float(hs[top]), float(total[top]), float(total[top])
+            for j in range(1, cut):
+                term = term * h / (j * (2 * l + 2 * j + 1))
+                if not term > 2.0**-60 * sum_top:
+                    cut = j
+                    break
+                sum_top += term
+        term = total.copy()
+        for j in range(1, cut):
+            term *= hs
+            term /= j * (2 * l + 2 * j + 1)
+            total += term
         out[series, l] = total
         lead = lead * beta / (2 * l + 3)
         bl = beta[~series]

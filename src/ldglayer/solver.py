@@ -32,15 +32,18 @@ flux is carried by X, not Y, so the two upper node unknowns do not both
 contain P^+: that choice leaves far fewer condensed solves above the
 refinement threshold.
 
-``assemble`` builds these node factors and writes A in block sparse row
-(BSR) storage of (k+1) x (k+1) field blocks.  Block row (e, field) holds,
-in ascending column order, a fixed list of blocks of elements e-1, e and
-e+1: 3 for a U-row, 3 for a P-row and 7 for a Q-row of an interior element.
-The pattern thus follows from (N, k) alone, one index is stored per block
-rather than per entry, and each block is written once into its slot: a
-coupling block as the product of its node factors, each of the 7 nonzero
-field blocks of element e's diagonal block D as it is formed.  A's data is
-the only store of D.
+``assemble`` writes A in block sparse row (BSR) storage of (k+1) x (k+1)
+field blocks.  Block row (e, field) holds, in ascending column order, a
+fixed list of blocks of elements e-1, e and e+1: 3 for a U-row, 3 for a
+P-row and 7 for a Q-row of an interior element.  The pattern thus follows
+from (N, k) alone, and one index is stored per block rather than per
+entry.  The blocks are formed _LOCAL_CHUNK elements at a time and each is
+written once into its slot: a coupling block as the product of its node
+factors, each of the 7 nonzero field blocks of element e's diagonal block
+D from quadrature samples and traces that live for the chunk only.  A's
+data is the only store of D, and the node factors are stored nowhere: the
+system keeps the two traces and three nodal coefficients they are made of,
+and each user forms the factors of a chunk of nodes from them.
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
 local solves of D, gathered from A's data and solved a chunk of elements at
@@ -50,12 +53,13 @@ unknowns (whatever k is) with LAPACK's banded LU with partial pivoting
 It then runs extended-precision iterative refinement against the assembled
 A, which stops once the residual meets the advertised tolerance or reaches
 the float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
-float64-stored solution can go.  The long-double residuals
-and the floor are accumulated by ``_matvec``, which runs scipy's compiled
-BSR product kernel (``bsr_matvec``) in place a chunk of block rows at a
-time, reading A's float64 blocks where they are and converting a chunk of
-|A| or of long-double blocks into one reused buffer, never copying A
-whole.
+float64-stored solution can go.  Every residual and the floor are
+formed by ``_matvec``, which runs scipy's compiled BSR product kernel
+(``bsr_matvec``) a chunk of block rows at a time into one reused buffer.
+It reads A's float64 blocks where they are, converts a chunk of |A| or of
+long-double blocks and the chunk's window of x into reused buffers, and
+takes the residual's norm before it is rounded, so neither A nor x is
+copied whole and no long-double vector is held whole.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ class SolveInfo:
     ``residual_inf`` is ||b - A x||_inf of the returned x, accumulated in
     long double when the float64 residual called for refinement (even if
     the long-double one then met the stop rule, ``refine_steps`` = 0) and
-    in float64 otherwise.  ``refine_steps`` counts the correction solves
+    in float64 otherwise; the long-double norm is taken before the
+    residual is rounded to float64.  ``refine_steps`` counts the correction solves
     run; when the last one was undone (see ``solve``), x is the iterate
     before it.
     ``growth_factor`` is max|U_S| / max|S| for the LU factor U_S of the
@@ -219,20 +224,23 @@ class BlockSystem:
     ``matrix`` is stored as BSR with (k+1) x (k+1) blocks, one block row per
     (element, field), in the block pattern ``assemble`` writes, which depends
     on (N, k) alone.  Its diagonal blocks D, element e's (3(k+1), 3(k+1))
-    block, are held there only; at each interior node e+1 (index e =
+    block, are held there only.  At each interior node e+1 (index e =
     0..N-2) the coupling of element e's rows to element e+1's columns is
-    ``node_x[e] @ node_y[e].T`` and that of element e+1's rows to element
-    e's columns is ``node_z[e] @ node_r[e].T``, the factors kept here.
+    X_e Y_e^T and that of element e+1's rows to element e's columns is
+    Z_e R_e^T.  Those factors are not stored: only the node data they are
+    made of is kept, and ``_node_factors`` forms them for a range of nodes.
     """
 
     matrix: sparse.bsr_matrix
     rhs: np.ndarray
     mesh: Mesh
     k: int
-    node_x: np.ndarray      # (N-1, 3(k+1), 2), rows of element e
-    node_y: np.ndarray      # (N-1, 3(k+1), 2), columns of element e+1
-    node_z: np.ndarray      # (N-1, 3(k+1), 1), rows of element e+1
-    node_r: np.ndarray      # (N-1, 3(k+1), 1), columns of element e
+    eps: float
+    trace_r: np.ndarray     # (N-1, k+1), right trace r of element e
+    trace_l: np.ndarray     # (N-1, k+1), left trace l of element e+1
+    node_a: np.ndarray      # (N-1,), a at node e+1
+    node_b_dn: np.ndarray   # (N-1,), (b-|b|)/2 at node e+1
+    node_b_up: np.ndarray   # (N-1,), (b+|b|)/2 at node e+1
 
     def dump_coo(self) -> str:
         """'row col value' per line in column-major order (debugging aid)."""
@@ -241,9 +249,45 @@ class BlockSystem:
                  for r, c, v in zip(coo.row, coo.col, coo.data)]
         return "\n".join(lines) + "\n"
 
+    def _node_factors(self, lo: int, hi: int, which: str = "xyzr") -> list[np.ndarray]:
+        """The node factors named in ``which`` for nodes lo..hi-1, in that
+        order: X and Y as (hi - lo, 3(k+1), 2), Z and R as (hi - lo,
+        3(k+1), 1), rows in (U, P, Q) field order.
+
+        X = [-eps r e_P - a r e_Q, r e_Q] and Y = [l e_P, b_dn l e_U + l e_Q]
+        carry the upper coupling, Z = l e_U - b_up l e_Q and R = r e_U the
+        lower one, with e_F placing a trace in field F's rows.
+        """
+        r, l = self.trace_r[lo:hi], self.trace_l[lo:hi]
+        count, m = r.shape
+        out = []
+        for name in which:
+            f = np.zeros((count, 3, m, 2 if name in "xy" else 1))
+            if name == "x":
+                f[:, 1, :, 0] = -self.eps * r
+                f[:, 2, :, 0] = -self.node_a[lo:hi, None] * r
+                f[:, 2, :, 1] = r
+            elif name == "y":
+                f[:, 1, :, 0] = l
+                f[:, 0, :, 1] = self.node_b_dn[lo:hi, None] * l
+                f[:, 2, :, 1] = l
+            elif name == "z":
+                f[:, 0, :, 0] = l
+                f[:, 2, :, 0] = -self.node_b_up[lo:hi, None] * l
+            else:
+                f[:, 0, :, 0] = r
+            out.append(f.reshape(count, 3 * m, f.shape[-1]))
+        return out
+
 
 def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("el,em->elm", left, right)
+
+
+def _chunks(n: int):
+    """Yield (lo, hi) for runs of _LOCAL_CHUNK indices covering 0..n-1."""
+    for lo in range(0, n, _LOCAL_CHUNK):
+        yield lo, min(lo + _LOCAL_CHUNK, n)
 
 
 # Block row (e, field) holds these (k+1) x (k+1) blocks in ascending column
@@ -275,22 +319,27 @@ def _element_groups(n: int):
         start += (hi - lo) * len(blocks)
 
 
-def _diagonal_views(data: np.ndarray, n: int) -> list[tuple[int, int, dict]]:
-    """Where the diagonal blocks D live in A's BSR data: (lo, hi, views) per
-    element run of ``_element_groups``, with ``views`` mapping each of D's 7
-    stored field blocks (row field, column field) to the strided
-    (hi - lo, k+1, k+1) view of those elements' blocks."""
+def _block_runs(data: np.ndarray, n: int) -> list[tuple[int, int, list, np.ndarray]]:
+    """Where A's blocks live in its BSR data: (lo, hi, blocks, region) per
+    element run of ``_element_groups``, ``region`` the (hi - lo,
+    len(blocks), k+1, k+1) view of A's data that holds those elements'
+    blocks in the slot order of ``blocks``."""
     if data.shape[0] != _block_count(n):
         raise ValueError(f"A holds {data.shape[0]} blocks, not the "
                          f"{_block_count(n)} of assemble's pattern on {n} elements")
-    out = []
-    for lo, hi, start, blocks in _element_groups(n):
-        region = data[start:start + (hi - lo) * len(blocks)].reshape(
-            hi - lo, len(blocks), *data.shape[1:])
-        out.append((lo, hi, {(row_field, col_field): region[:, slot]
-                             for slot, (row_field, col_shift, col_field) in enumerate(blocks)
-                             if col_shift == 0}))
-    return out
+    return [(lo, hi, blocks, data[start:start + (hi - lo) * len(blocks)].reshape(
+                hi - lo, len(blocks), *data.shape[1:]))
+            for lo, hi, start, blocks in _element_groups(n)]
+
+
+def _overlaps(runs: list[tuple[int, int, list, np.ndarray]], lo: int, hi: int):
+    """Yield (i, j, blocks, region) for each run of ``_block_runs`` that
+    holds some of the elements lo..hi-1: those are lo+i..lo+j-1, and
+    ``region`` holds their blocks only."""
+    for g_lo, g_hi, blocks, region in runs:
+        a, b = max(lo, g_lo), min(hi, g_hi)
+        if a < b:
+            yield a - lo, b - lo, blocks, region[a - g_lo:b - g_lo]
 
 
 def assemble(problem: Problem, mesh: Mesh, k: int,
@@ -312,61 +361,33 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     h = mesh.widths
 
     left, right = basis_traces(h, k)                             # (n, m)
-    s = right                                                    # basis scales
-    ss = s[:, :, None] * s[:, None, :]
-
     an = _sample(problem.a, mesh.nodes)
     b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
-
-    # Node factors at interior node e+1: rows e x columns e+1 is X Y^T and
-    # rows e+1 x columns e is Z R^T, with r = element e's right trace and
-    # l = element e+1's left trace.
-    r_e, l_e = right[:-1], left[1:]
-    node_x = np.zeros((n - 1, 3, m, 2))
-    node_x[:, 1, :, 0] = -eps * r_e
-    node_x[:, 2, :, 0] = -an[1:-1, None] * r_e
-    node_x[:, 2, :, 1] = r_e
-    node_y = np.zeros((n - 1, 3, m, 2))
-    node_y[:, 1, :, 0] = l_e
-    node_y[:, 0, :, 1] = b_dn[1:-1, None] * l_e
-    node_y[:, 2, :, 1] = l_e
-    node_z = np.zeros((n - 1, 3, m, 1))
-    node_z[:, 0, :, 0] = l_e
-    node_z[:, 2, :, 0] = -b_up[1:-1, None] * l_e
-    node_r = np.zeros((n - 1, 3, m, 1))
-    node_r[:, 0, :, 0] = r_e
 
     dim = 3 * m * n
     nnzb = _block_count(n)
     idx_dtype = np.int32 if max(nnzb, dim) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty((nnzb, m, m))
     indices = np.empty(nnzb, dtype=idx_dtype)
     row_counts = np.empty((n, 3), dtype=np.int64)
-
-    # Each coupling block is written straight into its slot as the product
-    # of its node factors.
     for lo, hi, start, blocks in _element_groups(n):
-        span = slice(start, start + (hi - lo) * len(blocks))
-        region_d = data[span].reshape(hi - lo, len(blocks), m, m)
-        region_i = indices[span].reshape(hi - lo, len(blocks))
+        region = indices[start:start + (hi - lo) * len(blocks)].reshape(hi - lo, len(blocks))
         row_counts[lo:hi] = np.bincount([blk[0] for blk in blocks], minlength=3)
         elements = np.arange(lo, hi)
-        for slot, (row_field, col_shift, col_field) in enumerate(blocks):
-            region_i[:, slot] = 3 * (elements + col_shift) + col_field
-            if col_shift:
-                part = slice(lo + min(col_shift, 0), hi + min(col_shift, 0))
-                f, g = (node_x, node_y) if col_shift > 0 else (node_z, node_r)
-                np.matmul(f[part, row_field], g[part, col_field].transpose(0, 2, 1),
-                          out=region_d[:, slot])
+        for slot, (_, col_shift, col_field) in enumerate(blocks):
+            region[:, slot] = 3 * (elements + col_shift) + col_field
+    indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
+    np.cumsum(row_counts.ravel(), out=indptr[1:])
 
-    # D's field blocks (element e tested against its own unknowns) go
-    # straight into their slots, each formed for all elements at once from
-    # pieces that live only while it is written; (U, Q) and (P, U) are zero.
-    views = _diagonal_views(data, n)
+    rhs = np.zeros(dim)
+    rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
 
-    def put(row_field: int, col_field: int, block: np.ndarray) -> None:
-        for lo, hi, group in views:
-            group[row_field, col_field][...] = block[lo:hi]
+    # The blocks are written below into the matrix's own data.  Node e+1
+    # keeps element e's right trace r and element e+1's left trace l.
+    system = BlockSystem(
+        matrix=sparse.bsr_matrix((np.empty((nnzb, m, m)), indices, indptr), shape=(dim, dim)),
+        rhs=rhs, mesh=mesh, k=k, eps=eps, trace_r=right[:-1], trace_l=left[1:],
+        node_a=an[1:-1], node_b_dn=b_dn[1:-1], node_b_up=b_up[1:-1])
+    runs = _block_runs(system.matrix.data, n)
 
     def volume(weight: np.ndarray, test_tab: np.ndarray) -> np.ndarray:
         """<weight * trial_m, test_l> per element, times the basis scales
@@ -379,88 +400,111 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     p_tab = legendre_table(k, tq)
     dp_tab = legendre_deriv_table(k, tq)
     x, _ = quad_points(mesh, quad)
-    aq, bq, cq, bpq = problem.at(x)
-    del x
-    d_one = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :] * ss
-    rxr = _outer(right, right)
-    lxl = _outer(left, left)
+    d_ref = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
+    eye = np.broadcast_to(np.eye(m), (min(n, _LOCAL_CHUNK), m, m))
+    rows = [slice(field * m, (field + 1) * m) for field in range(3)]
 
-    eye = np.broadcast_to(np.eye(m), (n, m, m))
-    put(0, 1, eye)
-    put(1, 2, eye)
-    block = d_one.copy()
-    block[:-1] -= rxr[:-1]                     # Uhat_N = 0 drops the last one
-    put(0, 0, block)
-    put(1, 1, eps * (d_one + lxl))
-    block = -d_one - lxl
-    block[-1] += rxr[-1]                       # Qhat_N = Q_N^-
-    put(2, 2, block)
-    del d_one
-    block = volume(wq[None, :] * aq, dp_tab) + an[:-1, None, None] * lxl
-    block[-1] -= an[-1] * rxr[-1]              # Ptilde_N = P_N^-
-    put(2, 1, block)
-    del block, aq
-    put(2, 0, (-volume(wq[None, :] * bq, dp_tab)
-               + volume((wq[None, :] * (cq - bpq)) * (0.5 * h[:, None]), p_tab)
-               + b_up[1:, None, None] * rxr - b_dn[:-1, None, None] * lxl))
-    del rxr, lxl, bq, cq, bpq
+    # _LOCAL_CHUNK elements at a time: D's 7 nonzero field blocks (element e
+    # tested against its own unknowns; (U, Q) and (P, U) are zero) are formed
+    # from pieces that live for the chunk only, the coupling blocks as the
+    # products of their node factors, and each goes straight into its slots.
+    for lo, hi in _chunks(n):
+        s = right[lo:hi]                                         # basis scales
+        ss = s[:, :, None] * s[:, None, :]
+        rxr = _outer(s, s)
+        lxl = _outer(left[lo:hi], left[lo:hi])
+        aq, bq, cq, bpq = problem.at(x[lo:hi])
+        d_one = d_ref * ss
+        d = {(0, 1): eye, (1, 2): eye, (1, 1): eps * (d_one + lxl)}
+        d[2, 2] = -d_one - lxl
+        d[2, 1] = volume(wq[None, :] * aq, dp_tab) + an[lo:hi, None, None] * lxl
+        if hi == n:
+            d[2, 2][-1] += rxr[-1]                 # Qhat_N = Q_N^-
+            d[2, 1][-1] -= an[-1] * rxr[-1]        # Ptilde_N = P_N^-
+        d_one[:min(hi, n - 1) - lo] -= rxr[:min(hi, n - 1) - lo]   # Uhat_N = 0
+        d[0, 0] = d_one
+        d[2, 0] = (-volume(wq[None, :] * bq, dp_tab)
+                   + volume((wq[None, :] * (cq - bpq)) * (0.5 * h[lo:hi, None]), p_tab)
+                   + b_up[lo + 1:hi + 1, None, None] * rxr - b_dn[lo:hi, None, None] * lxl)
+        n0 = max(lo - 1, 0)                        # nodes n0.. of the chunk's couplings
+        fx, fy, fz, fr = system._node_factors(n0, min(hi, n - 1))
+        for i, j, blocks, region in _overlaps(runs, lo, hi):
+            for slot, (row_field, col_shift, col_field) in enumerate(blocks):
+                if not col_shift:
+                    region[:, slot] = d[row_field, col_field][i:j]
+                    continue
+                # Element e couples to node e's X Y^T and node e-1's Z R^T.
+                f, g = (fx, fy) if col_shift > 0 else (fz, fr)
+                first = lo + min(col_shift, 0) - n0
+                np.matmul(f[first + i:first + j, rows[row_field]],
+                          g[first + i:first + j, rows[col_field]].transpose(0, 2, 1),
+                          out=region[:, slot])
+    return system
 
-    indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
-    np.cumsum(row_counts.ravel(), out=indptr[1:])
-    matrix = sparse.bsr_matrix((data, indices, indptr), shape=(dim, dim))
 
-    rhs = np.zeros(dim)
-    rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
+def _matvec(a: sparse.bsr_matrix, x: np.ndarray, b: np.ndarray | None = None, *,
+            absolute: bool = False, dtype=np.float64, out: np.ndarray | None = None) -> float:
+    """||y||_inf for y = b - A x, for y = A x without b, or for y = |A| |x|
+    with ``absolute``, accumulated in ``dtype``; y itself is written into
+    ``out``, rounded to out's dtype, when out is given.
 
-    return BlockSystem(matrix=matrix, rhs=rhs, mesh=mesh, k=k,
-                       node_x=node_x.reshape(n - 1, 3 * m, 2),
-                       node_y=node_y.reshape(n - 1, 3 * m, 2),
-                       node_z=node_z.reshape(n - 1, 3 * m, 1),
-                       node_r=node_r.reshape(n - 1, 3 * m, 1))
-
-
-def _matvec(a: sparse.bsr_matrix, x: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """A @ x, or |A| @ x, accumulated in x's dtype without a copy of A.
-
-    scipy's compiled BSR product kernel, the one ``a @ x`` runs, writes the
-    rows of y in place one chunk of _MATVEC_CHUNK block rows at a time.  It
-    reads A's float64 blocks where they are; a chunk of |A| or of A in
-    another dtype is converted into one buffer reused for every chunk.
-    Every row therefore sums the same products in the same order, and the
-    result is bit-identical to ``a.astype(x.dtype) @ x``.
+    A must have ``assemble``'s block pattern: block row (e, field) reads
+    only the block columns of elements e-1..e+1, and a block outside them
+    raises ValueError before the kernel could read past x's window.
+    scipy's compiled BSR
+    product kernel, the one ``a @ x`` runs, forms y one chunk of
+    _MATVEC_CHUNK block rows, of elements e0..e1-1, at a time, into one
+    reused buffer.  It reads the x window of block columns 3(e0-1) ..
+    3(e1+1), converted to dtype (or to |x|) in one reused buffer when x is
+    not in dtype already, and A's float64 blocks where they are; a chunk of
+    |A| or of A in another dtype is converted into one reused buffer.
+    Every row therefore sums the same products in the same order, so y is
+    bit-identical to ``b - a.astype(dtype) @ x``, and the norm is taken in
+    dtype before y is rounded.  A and x are never copied whole.
     """
     r, c = a.blocksize
-    n_brow = a.shape[0] // r
+    n_brow, n_bcol = a.shape[0] // r, a.shape[1] // c
     starts = range(0, n_brow, _MATVEC_CHUNK)
     bounds = a.indptr[[*starts, n_brow]]
-    direct = not absolute and a.data.dtype == x.dtype
-    if not direct:
-        vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=x.dtype)
-    y = np.zeros(a.shape[0], dtype=x.dtype)
+    if absolute or a.data.dtype != dtype:
+        vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=dtype)
+    if absolute or x.dtype != dtype:                 # a window spans <= chunk + 10 block columns
+        x_buf = np.empty(min(_MATVEC_CHUNK + 10, n_bcol) * c, dtype=dtype)
+    y_buf = np.empty(min(_MATVEC_CHUNK, n_brow) * r, dtype=dtype)
+    norm = dtype(0.0)
     for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
         r1 = min(r0 + _MATVEC_CHUNK, n_brow)
-        if direct:
-            chunk = a.data[lo:hi]
-        elif absolute:
-            chunk = np.abs(a.data[lo:hi], out=vals[:hi - lo])
+        c0, c1 = max(3 * (r0 // 3 - 1), 0), min(3 * (-(-r1 // 3) + 1), n_bcol)
+        xs, chunk = x[c0 * c:c1 * c], a.data[lo:hi]
+        if absolute:
+            xs = np.abs(xs, out=x_buf[:xs.size])
+            chunk = np.abs(chunk, out=vals[:hi - lo])
         else:
-            chunk = vals[:hi - lo]
-            chunk[...] = a.data[lo:hi]
-        bsr_matvec(r1 - r0, a.shape[1] // c, r, c, a.indptr[r0:r1 + 1] - lo,
-                   a.indices[lo:hi], chunk.reshape(-1), x, y[r0 * r:r1 * r])
-    return y
+            if x.dtype != dtype:
+                x_buf[:xs.size] = xs
+                xs = x_buf[:xs.size]
+            if chunk.dtype != dtype:
+                vals[:hi - lo] = chunk
+                chunk = vals[:hi - lo]
+        cols = a.indices[lo:hi] - c0
+        if hi > lo and (cols.min() < 0 or cols.max() >= c1 - c0):
+            raise ValueError("A has a block outside assemble's block pattern")
+        y = y_buf[:(r1 - r0) * r]
+        y.fill(0.0)
+        bsr_matvec(r1 - r0, c1 - c0, r, c, a.indptr[r0:r1 + 1] - lo, cols,
+                   chunk.reshape(-1), xs, y)
+        if b is not None:
+            np.subtract(b[r0 * r:r1 * r], y, out=y)
+        if out is not None:
+            out[r0 * r:r1 * r] = y
+        norm = np.maximum(norm, np.abs(y, out=y).max())
+    return float(norm)
 
 
 def _rounding_floor(a: sparse.bsr_matrix, x: np.ndarray) -> float:
     """eps_mach * || |A| |x| ||_inf, the residual that storing x in float64
     leaves by itself."""
-    return float(_matvec(a, np.abs(x), absolute=True).max()) * float(np.finfo(float).eps)
-
-
-def _residual(a: sparse.bsr_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """b - A x in x's dtype, formed in the buffer of the product."""
-    y = _matvec(a, x)
-    return np.subtract(b, y, out=y)
+    return _matvec(a, x, absolute=True) * float(np.finfo(float).eps)
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -477,42 +521,49 @@ class _Condensed:
     x = D^-1 b - D^-1 [X Z] t.  S is banded (kl = 3, ku = 4) and factored
     by LAPACK's ``dgbtrf``; ``x`` is the solution for the assembled rhs, and
     ``solve`` repeats the elimination for a new right-hand side with
-    ``dgbtrs``, so refinement steps reuse the LU of S.
+    ``dgbtrs``, so refinement steps reuse the LU of S.  D^-1 [X Z] and the
+    band factor are all it holds beyond the system.
 
     The diagonal blocks D are read from A's BSR data, where ``assemble``
     wrote them, _LOCAL_CHUNK elements at a time: each chunk's blocks are
     gathered into one reused buffer and solved by one batched LAPACK call,
     which solves every block on its own, so the chunking leaves the results
-    bit-identical to a single batch.
+    bit-identical to a single batch.  The node factors are formed from the
+    system's node data a chunk at a time too: X and Z for the first local
+    solve, Y and R for each reduction onto the nodes.
     """
 
     def __init__(self, system: BlockSystem) -> None:
-        self.node_y, self.node_r = system.node_y, system.node_r
+        self.system = system
         self.n, self.m = system.mesh.n_elements, system.k + 1
         n, width = self.n, 3 * self.m
-        self._views = _diagonal_views(system.matrix.data, n)
+        self._runs = _block_runs(system.matrix.data, n)
         # The first local solve gives D^-1 X, D^-1 Z and D^-1 b together;
         # X of node e sits in element e, Z in element e+1.
         self.dxz = np.empty((n, width, 3))      # D^-1 [X Z]
         x = np.empty((n, width))
         rhs = system.rhs.reshape(n, width)
         for lo, hi, d in self._local_blocks():
+            n0 = max(lo - 1, 0)
+            fx, fz = system._node_factors(n0, min(hi, n - 1), "xz")
             local = np.zeros((hi - lo, width, 4))
-            local[:min(hi, n - 1) - lo, :, :2] = system.node_x[lo:hi]
-            local[max(lo, 1) - lo:, :, 2:3] = system.node_z[max(lo, 1) - 1:hi - 1]
+            local[:min(hi, n - 1) - lo, :, :2] = fx[lo - n0:]
+            local[max(lo, 1) - lo:, :, 2:3] = fz[:hi - 1 - n0]
             local[:, :, 3] = rhs[lo:hi]
             sol = _solve_local(d, local)
             self.dxz[lo:hi] = sol[:, :, :3]
             x[lo:hi] = sol[:, :, 3]
         del local, sol
+        t_dxz, t_x = self._node_traces(self.dxz, x[:, :, None])
         self.lub = None
         if n > 1:
-            ab = _trace_band(self._node_traces(self.dxz))
+            ab = _trace_band(t_dxz)
             self.s_max = _inf_norm(ab)
             self.lub, self.ipiv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
             if info > 0:
                 raise RuntimeError(f"singular LDG system: trace pivot {info} is zero")
-        self.x = self._back_substitute(x)
+        del t_dxz
+        self.x = self._back_substitute(x, t_x)
 
     def _local_blocks(self):
         """Yield (lo, hi, D) for each run of _LOCAL_CHUNK elements lo..hi-1,
@@ -520,14 +571,12 @@ class _Condensed:
         reused for every run, as (hi - lo, 3(k+1), 3(k+1))."""
         n, m = self.n, self.m
         buf = np.zeros((min(n, _LOCAL_CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
-        for lo in range(0, n, _LOCAL_CHUNK):
-            hi = min(lo + _LOCAL_CHUNK, n)
+        for lo, hi in _chunks(n):
             d = buf[:hi - lo]
-            for g_lo, g_hi, views in self._views:
-                a, b = max(lo, g_lo), min(hi, g_hi)
-                if a < b:
-                    for (row_field, col_field), view in views.items():
-                        d[a - lo:b - lo, row_field, :, col_field] = view[a - g_lo:b - g_lo]
+            for i, j, blocks, region in _overlaps(self._runs, lo, hi):
+                for slot, (row_field, col_shift, col_field) in enumerate(blocks):
+                    if not col_shift:
+                        d[i:j, row_field, :, col_field] = region[:, slot]
             yield lo, hi, d.reshape(hi - lo, 3 * m, 3 * m)
 
     def growth_factor(self) -> float:
@@ -537,18 +586,25 @@ class _Condensed:
             return 0.0
         return _inf_norm(self.lub[:_KL + _KU + 1]) / self.s_max
 
-    def _node_traces(self, w: np.ndarray) -> np.ndarray:
-        """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for local fields
-        w of shape (N, 3(k+1), c), as (N-1, 3, c)."""
-        return np.concatenate([self.node_y.transpose(0, 2, 1) @ w[1:],
-                               self.node_r.transpose(0, 2, 1) @ w[:-1]], axis=1)
+    def _node_traces(self, *ws: np.ndarray) -> list[np.ndarray]:
+        """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for each local field w
+        of shape (N, 3(k+1), c), as (N-1, 3, c), with one pass over the
+        node factors for all of them."""
+        outs = [np.empty((self.n - 1, 3, w.shape[2])) for w in ws]
+        for lo, hi in _chunks(self.n - 1):
+            fy, fr = self.system._node_factors(lo, hi, "yr")
+            yt, rt = fy.transpose(0, 2, 1), fr.transpose(0, 2, 1)
+            for w, out in zip(ws, outs):
+                out[lo:hi, :2] = yt @ w[lo + 1:hi + 1]
+                out[lo:hi, 2:] = rt @ w[lo:hi]
+        return outs
 
-    def _back_substitute(self, local: np.ndarray) -> np.ndarray:
+    def _back_substitute(self, local: np.ndarray, traces: np.ndarray) -> np.ndarray:
         """x = D^-1 b - D^-1 [X Z] t, formed in place in local = D^-1 b of
-        shape (N, 3(k+1)) and returned flat."""
+        shape (N, 3(k+1)) from its node traces, and returned flat."""
         if self.lub is not None:
-            traces = self._node_traces(local[:, :, None]).reshape(-1, 1)
-            t = dgbtrs(self.lub, _KL, _KU, traces, self.ipiv, overwrite_b=1)[0].reshape(-1, 3)
+            t = dgbtrs(self.lub, _KL, _KU, traces.reshape(-1, 1), self.ipiv,
+                       overwrite_b=1)[0].reshape(-1, 3)
             local[:-1] -= (self.dxz[:-1, :, :2] @ t[:, :2, None])[:, :, 0]
             local[1:] -= self.dxz[1:, :, 2] * t[:, 2:]
         return local.ravel()
@@ -559,7 +615,7 @@ class _Condensed:
         local = rhs.reshape(self.n, 3 * self.m)
         for lo, hi, d in self._local_blocks():
             local[lo:hi] = _solve_local(d, local[lo:hi, :, None])[:, :, 0]
-        return self._back_substitute(local)
+        return self._back_substitute(local, *self._node_traces(local[:, :, None]))
 
 
 def _solve_local(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -659,35 +715,27 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
 
     # Fast path: a float64 residual already at the stop threshold is
     # trustworthy (measurement noise only adds to it).
-    r_inf = _inf_norm(_residual(a, b, x))
+    r_inf = _matvec(a, x, b)
     steps = 0
     if r_inf > stop:
-        # The current iterate is held only as its exact long-double image,
-        # which its residual needs anyway, so keeping the previous float64
-        # iterate for the final check adds no peak memory.
-        x_ld = x.astype(np.longdouble)
-        del x
-        resid = _residual(a, b, x_ld)
-        r_inf = _inf_norm(resid)
-        x_prev = None
+        # Each long-double residual is rounded into the next correction; the
+        # new iterate is formed in the correction's buffer.
+        correction = np.empty_like(x)
+        r_inf = _matvec(a, x, b, dtype=np.longdouble, out=correction)
         while r_inf > stop and steps < max_refine:
-            x_prev = None                   # a new step runs: the older one is spent
-            correction, resid = resid.astype(float), None   # freed before the solve
-            x_prev, r_prev = x_ld.astype(float), r_inf
-            del x_ld
-            # The new iterate is formed in the correction's buffer.
-            x_ld = np.add(x_prev, lu.solve(correction), out=correction).astype(np.longdouble)
-            del correction
+            x_prev, r_prev = x, r_inf       # kept for the final check; the older one is spent
+            x = np.add(x_prev, lu.solve(correction), out=correction)
             steps += 1
-            resid = _residual(a, b, x_ld)
-            r_inf = _inf_norm(resid)
+            correction = np.empty_like(x)
+            r_inf = _matvec(a, x, b, dtype=np.longdouble, out=correction)
             if r_inf >= r_prev:
                 break
-        del resid
-        x = x_ld.astype(float)
-        del x_ld
+        del correction
+    growth = lu.growth_factor()
+    del lu                  # D^-1 [X Z] and the band factor are spent
+    if steps:
         floor = _rounding_floor(a, x)
-        if x_prev is not None and not passes(r_inf, floor):
+        if not passes(r_inf, floor):
             prev_floor = _rounding_floor(a, x_prev)
             if passes(r_prev, prev_floor):
                 x, r_inf, floor = x_prev, r_prev, prev_floor
@@ -699,7 +747,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             f"* ||rhs||_inf (and the float64 floor {floor:.3e})"
         )
 
-    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=lu.growth_factor(),
+    info = SolveInfo(residual_inf=r_inf, rhs_inf=b_inf, growth_factor=growth,
                      refine_steps=steps)
 
     m = system.k + 1

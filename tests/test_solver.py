@@ -135,8 +135,9 @@ def test_assembled_pattern(n, k):
 
 def test_assembly_memory_is_bounded_by_the_output():
     """Assembly writes the BSR arrays in place, so its traced peak stays
-    within 3x the bytes it returns: the BSR arrays, the rhs and the node
-    factors (the diagonal blocks are stored in the BSR data only)."""
+    within 3x the bytes it returns: the BSR arrays, the rhs and the compact
+    node data (the diagonal blocks are stored in the BSR data only, the
+    node factors nowhere)."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -148,9 +149,24 @@ def test_assembly_memory_is_bounded_by_the_output():
             tracemalloc.stop()
         a = system.matrix
         out = sum(arr.nbytes for arr in (a.data, a.indices, a.indptr, system.rhs,
-                                         system.node_x, system.node_y,
-                                         system.node_z, system.node_r))
+                                         *_node_data(system)))
         assert peak <= 3 * out, (k, peak / out)
+
+
+def _node_data(system):
+    """The compact node data a BlockSystem keeps in place of node factors."""
+    return (system.trace_r, system.trace_l, system.node_a, system.node_b_dn,
+            system.node_b_up)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_node_data_is_compact(k):
+    """The node data costs at most 2x the rhs: two traces of k+1 entries
+    and three nodal coefficients per interior node, against 3(k+1) rhs
+    entries per element, where the dense X, Y, Z and R of 18(k+1) entries
+    per node would cost 6x."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(64), k)
+    assert sum(arr.nbytes for arr in _node_data(system)) <= 2 * system.rhs.nbytes
 
 
 def test_hand_assembled_two_element_k0_system():
@@ -308,16 +324,23 @@ def test_refinement_falls_back_to_the_iterate_that_passes():
     assert np.array_equal(x, np.stack([unrefined.U.coeffs, unrefined.P.coeffs,
                                        unrefined.Q.coeffs], axis=1).ravel())
     a, b = system.matrix, system.rhs
-    r_inf = solver._inf_norm(solver._residual(a, b, x.astype(np.longdouble)))
+    r_inf = float(np.abs(b - a.astype(np.longdouble) @ x.astype(np.longdouble)).max())
     assert w.info.residual_inf == r_inf
     floor = solver._rounding_floor(a, x)
     assert r_inf <= max(solver.RESIDUAL_RTOL * w.info.rhs_inf, 4.0 * floor)
 
 
+def _product(a, x, dtype=np.float64, **kwargs):
+    """The y of _matvec, written in dtype, and the norm it returns."""
+    y = np.empty(a.shape[0], dtype=dtype)
+    norm = solver._matvec(a, x, dtype=dtype, out=y, **kwargs)
+    return y, norm
+
+
 def test_chunked_matvec_is_bit_identical(monkeypatch):
     """The extended residual and the rounding floor read A a few block rows
     at a time, yet add the same products in the same order as a full
-    product with a converted copy of A."""
+    product with a converted copy of A, and take the norm of the result."""
     system = assemble(_varying_problem(0.05), uniform_mesh(6), 3)
     a = system.matrix
     monkeypatch.setattr(solver, "_MATVEC_CHUNK", 5)
@@ -325,17 +348,41 @@ def test_chunked_matvec_is_bit_identical(monkeypatch):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(a.shape[1])
     x_ld = x.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
-    assert np.array_equal(solver._matvec(a, x_ld), a.astype(np.longdouble) @ x_ld)
-    assert np.array_equal(solver._matvec(a, x), a @ x)
+    y, norm = _product(a, x_ld, np.longdouble)
+    ref = a.astype(np.longdouble) @ x_ld
+    assert np.array_equal(y, ref) and norm == float(np.abs(ref).max())
+    y, norm = _product(a, x)
+    assert np.array_equal(y, a @ x) and norm == np.abs(a @ x).max()
     abs_a = abs(a)
     assert solver._rounding_floor(a, x) == (float((abs_a @ np.abs(x)).max())
                                             * float(np.finfo(float).eps))
 
 
+@pytest.mark.parametrize("chunk", [5, 7, 1 << 10])
+def test_streamed_residual_matches_the_whole_array_form(chunk, monkeypatch):
+    """b - A x accumulated in long double a chunk of block rows at a time is
+    written as the float64 rounding of the whole-array b - a_ld @ x_ld, and
+    its norm is that array's, taken before rounding; the float64 residual's
+    norm is that of b - A @ x."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(9), 2)
+    a = system.matrix
+    monkeypatch.setattr(solver, "_MATVEC_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(a.shape[1])
+    b = a @ x + 1e-12 * rng.standard_normal(a.shape[0])     # a small residual
+    whole = b - a.astype(np.longdouble) @ x.astype(np.longdouble)
+    out = np.empty(a.shape[0])
+    norm = solver._matvec(a, x, b, dtype=np.longdouble, out=out)
+    assert np.array_equal(out, whole.astype(float))
+    assert norm == float(np.abs(whole).max())
+    assert solver._matvec(a, x, b) == np.abs(b - a @ x).max()
+
+
 def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
     """_matvec and _rounding_floor equal scipy's product bit for bit with
     int64 index arrays (what ``assemble`` writes above 2**31 entries), with
-    |A| times a long-double x, and with a last chunk shorter than the rest."""
+    |A| |x| for a long-double x, and with a last chunk shorter than the
+    rest."""
     a = assemble(_varying_problem(0.05), uniform_mesh(6), 3).matrix
     monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
     assert (a.shape[0] // a.blocksize[0]) % solver._MATVEC_CHUNK != 0
@@ -350,49 +397,68 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
     a_ld, abs_a = a.astype(np.longdouble), abs(a)
     floor = float((abs_a @ np.abs(x)).max()) * float(np.finfo(float).eps)
     for m in (a, wide):
-        assert np.array_equal(solver._matvec(m, x), a @ x)
-        assert np.array_equal(solver._matvec(m, x_ld), a_ld @ x_ld)
-        assert np.array_equal(solver._matvec(m, x_ld, absolute=True), abs(a_ld) @ x_ld)
-        assert np.array_equal(solver._matvec(m, x, absolute=True), abs_a @ x)
+        assert np.array_equal(_product(m, x)[0], a @ x)
+        assert np.array_equal(_product(m, x_ld, np.longdouble)[0], a_ld @ x_ld)
+        assert np.array_equal(_product(m, x_ld, np.longdouble, absolute=True)[0],
+                              abs(a_ld) @ abs(x_ld))
+        assert np.array_equal(_product(m, x, absolute=True)[0], abs_a @ np.abs(x))
         assert solver._rounding_floor(m, x) == floor
 
 
-def test_matvec_memory_is_its_result_and_one_chunk_buffer():
-    """Every chunk is converted into the same buffer, so the traced peak of
-    _matvec stays within y, one chunk's blocks in x's dtype and 64 KiB of
-    slack (index offsets of one chunk, loop bookkeeping); A @ x for a
-    float64 x reads A's blocks where they are, with no buffer at all."""
+def test_matvec_refuses_a_block_outside_the_pattern(monkeypatch):
+    """A block beyond the columns of a row's own and neighbouring elements
+    would send the kernel past the x window of its chunk; _matvec raises
+    instead."""
+    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 3)
+    a = assemble(_varying_problem(0.05), uniform_mesh(6), 1).matrix.copy()
+    a.indices[0] = a.shape[1] // a.blocksize[1] - 1        # element 5's Q column
+    with pytest.raises(ValueError, match="block pattern"):
+        solver._matvec(a, np.ones(a.shape[1]))
+
+
+def test_matvec_memory_is_one_chunk_of_buffers():
+    """Every chunk is formed in the same buffers, so the traced peak of
+    _matvec stays within one chunk's blocks of A in the accumulation dtype,
+    its x window, its rows of y and the cast of b's rows that subtracting
+    them takes (at most _MATVEC_CHUNK + 10 block columns or rows each) and
+    64 KiB of slack (index offsets of one chunk, loop bookkeeping).  Nothing of x's or y's size is allocated: the floor
+    and the float64 residual return their norm only, the long-double
+    residual is rounded into the caller's array, and the float64 residual
+    reads A's blocks where they are, with no buffer for them at all."""
     a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
     r, c = a.blocksize
     n_brow = a.shape[0] // r
     assert n_brow > 4 * solver._MATVEC_CHUNK
     bounds = a.indptr[[*range(0, n_brow, solver._MATVEC_CHUNK), n_brow]]
     chunk_nnz = int(np.diff(bounds).max()) * r * c
-    x = np.random.default_rng(3).standard_normal(a.shape[1])
-    for xs, absolute, buffered in ((x.astype(np.longdouble), False, True),
-                                   (np.abs(x), True, True), (x, False, False)):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(a.shape[1])
+    b = rng.standard_normal(a.shape[0])
+    out = np.empty(a.shape[0])
+    for dtype, kwargs, buffered in ((np.longdouble, dict(b=b, out=out), True),
+                                    (np.float64, dict(absolute=True), True),
+                                    (np.float64, dict(b=b), False)):
         tracemalloc.start()
         try:
-            y = solver._matvec(a, xs, absolute=absolute)
+            solver._matvec(a, x, dtype=dtype, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = y.nbytes + buffered * chunk_nnz * xs.itemsize + (64 << 10)
-        assert peak <= bound, (xs.dtype, peak / (y.nbytes + chunk_nnz * xs.itemsize))
+        window = 3 * (solver._MATVEC_CHUNK + 10) * c
+        bound = (buffered * chunk_nnz + window) * np.dtype(dtype).itemsize + (64 << 10)
+        assert peak <= bound, (dtype, kwargs.keys(), peak / x.nbytes)
 
 
 def test_solve_memory_is_bounded_by_the_rhs():
     """solve forms each refined float64 iterate in the buffer of its
-    correction, which the local solves overwrite chunk by chunk, and holds
-    the current iterate only as its long-double image between steps, so
-    keeping the previous iterate costs no extra peak; it holds one
-    long-double residual at a time and frees it before the correction
-    solve, gathers the local blocks one chunk at a time, frees the trace
-    matrix once it is factored, forms residuals in the product's buffer,
-    and holds the banded LU factor of the trace system, which tracemalloc
-    sees, so its traced peak on top of the system stays within 16x the
-    bytes of the rhs (15.3x at k = 1, 13.8x at k = 3).  Both rows take one
-    refinement step."""
+    correction, which the local solves overwrite chunk by chunk, and rounds
+    each long-double residual, formed a chunk of block rows at a time, into
+    the next correction, so it holds no long-double vector whole; it
+    gathers the local blocks and forms the node factors one chunk at a
+    time, frees the trace matrix once it is factored, and holds the banded
+    LU factor of the trace system, which tracemalloc sees, so its traced
+    peak on top of the system stays within 16x the bytes of the rhs (13.7x
+    at k = 1, 12.3x at k = 3).  Both rows take one refinement step."""
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
@@ -405,6 +471,53 @@ def test_solve_memory_is_bounded_by_the_rhs():
             tracemalloc.stop()
         assert w.info.refine_steps >= 1
         assert peak <= 16 * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
+
+
+def test_assemble_and_solve_memory_is_bounded_by_the_rhs():
+    """assemble forms D's blocks a chunk of elements at a time and keeps
+    only compact node data, and solve forms its residuals a chunk of block
+    rows at a time and frees the condensed factors before the final floor,
+    so the traced peak of assemble-then-solve at Bakhvalov N = 16384 stays
+    within 25.4x the bytes of the rhs at k = 1 and 31.1x at k = 3 (24.2x
+    and 29.6x measured; k = 3 takes a refinement step)."""
+    case = boundary_layer_case(1e-8)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 16384, 1e-8, 2.5))
+    for k, bound in ((1, 25.4), (3, 31.1)):
+        tracemalloc.start()
+        try:
+            system = assemble(case.problem, mesh, k)
+            w = solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.info.refine_steps == (k == 3)
+        assert peak <= bound * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_chunk_sizes_leave_assembly_and_solve_bit_identical(k, monkeypatch):
+    """Assembly formed five elements at a time, and residuals formed seven
+    block rows at a time, give the bits of A, the rhs, the node data, the
+    solution and its diagnostics that the default chunks give: every
+    chunked step works element by element or row by row in one order.
+    Shishkin eps = 1e-12, N = 64 refines at k = 0 and 2."""
+    case = boundary_layer_case(1e-12)
+    mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 64, 1e-12, 3.5))
+
+    def run():
+        system = assemble(case.problem, mesh, k)
+        w = solve(system)
+        a = system.matrix
+        return ([arr.tobytes() for arr in (a.data, a.indices, a.indptr, system.rhs,
+                                           *_node_data(system), w.U.coeffs,
+                                           w.P.coeffs, w.Q.coeffs)], w.info)
+
+    default = run()
+    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 5)
+    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
+    chunked = run()
+    assert chunked == default
+    assert (chunked[1].refine_steps >= 1) == (k in (0, 2))
 
 
 def _in_assembled_pattern(dense, n, k):
@@ -422,21 +535,27 @@ def _in_assembled_pattern(dense, n, k):
 
 def _singular_trace_system():
     """N = 2, k = 0 with invertible local blocks D (element 0's U-row reads
-    P, element 1's P-row reads Q) and rank-one couplings X Y^T = e_P e_P^T
-    and Z R^T = e_Q e_U^T, so S = I + [Y R]^T D^-1 [X Z] = [[1, 0, -1],
-    [0, 1, 0], [-1, 0, 1]] and A = D + X Y^T + Z R^T are both singular."""
+    P, element 1's P-row reads Q) and node data r = l = 1, a = b_dn = 0,
+    b_up = 2, eps = 1/2, so X = [-e_P/2, e_Q], Y = [e_P, e_Q], Z = e_U -
+    2 e_Q and R = e_U.  Then S = I + [Y R]^T D^-1 [X Z] = [[1, 0, 2],
+    [0, 1, -2], [1/2, 0, 1]] and A = D + X Y^T + Z R^T are both singular."""
     eye = np.eye(3)
-    node_x = np.stack([eye[1], np.zeros(3)], axis=1)[None]       # X = [e_P 0]
-    node_z, node_r = eye[:, 2:][None], eye[:, :1][None]         # Z = e_Q, R = e_U
+    x_f = np.stack([-0.5 * eye[1], eye[2]], axis=1)
+    y_f = np.stack([eye[1], eye[2]], axis=1)
+    z_f, r_f = (eye[0] - 2.0 * eye[2])[:, None], eye[:, :1]
     dense = np.eye(6)
     dense[0, 1] = dense[4, 5] = 1.0
-    dense[:3, 3:] += node_x[0] @ node_x[0].T
-    dense[3:, :3] += node_z[0] @ node_r[0].T
+    dense[:3, 3:] += x_f @ y_f.T
+    dense[3:, :3] += z_f @ r_f.T
     assert np.linalg.matrix_rank(dense) < 6
-    return solver.BlockSystem(matrix=_in_assembled_pattern(dense, 2, 0),
-                              rhs=np.ones(6), mesh=uniform_mesh(2), k=0,
-                              node_x=node_x, node_y=node_x.copy(),
-                              node_z=node_z, node_r=node_r)
+    one = np.ones((1, 1))
+    system = solver.BlockSystem(matrix=_in_assembled_pattern(dense, 2, 0), rhs=np.ones(6),
+                                mesh=uniform_mesh(2), k=0, eps=0.5, trace_r=one,
+                                trace_l=one, node_a=np.zeros(1), node_b_dn=np.zeros(1),
+                                node_b_up=np.full(1, 2.0))
+    for built, factor in zip(system._node_factors(0, 1), (x_f, y_f, z_f, r_f)):
+        assert np.array_equal(built[0], factor)
+    return system
 
 
 def _singular_local_block():
@@ -454,10 +573,11 @@ def _singular_local_block():
 
 
 def _zero_system():
+    none = np.zeros(0)
     return solver.BlockSystem(matrix=_in_assembled_pattern(np.zeros((3, 3)), 1, 0),
-                              rhs=np.ones(3), mesh=uniform_mesh(1), k=0,
-                              node_x=np.zeros((0, 3, 2)), node_y=np.zeros((0, 3, 2)),
-                              node_z=np.zeros((0, 3, 1)), node_r=np.zeros((0, 3, 1)))
+                              rhs=np.ones(3), mesh=uniform_mesh(1), k=0, eps=0.5,
+                              trace_r=np.zeros((0, 1)), trace_l=np.zeros((0, 1)),
+                              node_a=none, node_b_dn=none, node_b_up=none)
 
 
 def test_singular_system_raises():
@@ -494,12 +614,13 @@ def _dense_trace_system(system):
     for e in range(n):
         block = slice(e * width, (e + 1) * width)
         d[block, block] = a[block, block]
+    node_x, node_y, node_z, node_r = system._node_factors(0, n - 1)
     for e in range(n - 1):
         here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
-        xz[here, 3 * e:3 * e + 2] = system.node_x[e]
-        xz[there, 3 * e + 2] = system.node_z[e, :, 0]
-        yr[there, 3 * e:3 * e + 2] = system.node_y[e]
-        yr[here, 3 * e + 2] = system.node_r[e, :, 0]
+        xz[here, 3 * e:3 * e + 2] = node_x[e]
+        xz[there, 3 * e + 2] = node_z[e, :, 0]
+        yr[there, 3 * e:3 * e + 2] = node_y[e]
+        yr[here, 3 * e + 2] = node_r[e, :, 0]
     return np.eye(n_trace) + yr.T @ np.linalg.solve(d, xz)
 
 
@@ -514,7 +635,7 @@ def test_trace_band_matches_a_dense_oracle(n, k):
     system = assemble(problem, mesh, k, quad)
     s = _dense_trace_system(system)
     cond = solver._Condensed(system)
-    ab = solver._trace_band(cond._node_traces(cond.dxz))
+    ab = solver._trace_band(cond._node_traces(cond.dxz)[0])
     kl, ku = solver._KL, solver._KU
     assert ab.shape == (2 * kl + ku + 1, s.shape[0])
 
@@ -597,8 +718,8 @@ def _bilinear_setup(problem_name, kind, n, k):
 @pytest.mark.parametrize("problem_name, kind, n, k", _BILINEAR_CASES)
 def test_block_form_matches_matrix(problem_name, kind, n, k):
     """The diagonal blocks the condensed solve gathers from A's data and the
-    node products X Y^T, Z R^T it works from rebuild the assembled matrix
-    bit for bit."""
+    node products X Y^T, Z R^T of the factors that the node data builds over
+    all nodes at once rebuild the assembled matrix bit for bit."""
     problem, mesh, quad = _bilinear_setup(problem_name, kind, n, k)
     system = assemble(problem, mesh, k, quad)
     width = 3 * (k + 1)
@@ -606,10 +727,11 @@ def test_block_form_matches_matrix(problem_name, kind, n, k):
     for lo, hi, d in solver._Condensed(system)._local_blocks():
         for e in range(lo, hi):
             rebuilt[e * width:(e + 1) * width, e * width:(e + 1) * width] = d[e - lo]
+    node_x, node_y, node_z, node_r = system._node_factors(0, n - 1)
     for e in range(n - 1):
         here, there = slice(e * width, (e + 1) * width), slice((e + 1) * width, (e + 2) * width)
-        rebuilt[here, there] = system.node_x[e] @ system.node_y[e].T
-        rebuilt[there, here] = system.node_z[e] @ system.node_r[e].T
+        rebuilt[here, there] = node_x[e] @ node_y[e].T
+        rebuilt[there, here] = node_z[e] @ node_r[e].T
     assert np.array_equal(rebuilt, system.matrix.toarray())
 
 
