@@ -178,8 +178,9 @@ def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
         total = lead[series]
         hs = half_sq[series]
         # Relative to the sum, the terms shrink more slowly the larger b is,
-        # so the largest b sets the cut: the first term at or below 2^-60
-        # times its sum there, below half an ulp of every sum from then on.
+        # so the largest b sets the cut: from its first term at or below
+        # 2^-60 times its sum on, every term at every b is below half an ulp
+        # of its sum and would leave it unchanged.
         cut = 40 + 6 * l
         if hs.size:
             top = hs.argmax()
