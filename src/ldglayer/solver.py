@@ -544,7 +544,7 @@ class _Condensed:
         x = np.empty((n, width))
         rhs = system.rhs.reshape(n, width)
         for lo, hi, d in self._local_blocks():
-            n0 = max(lo - 1, 0)
+            n0 = max(lo - 1, 0)                # X of nodes lo.., Z of nodes lo-1..
             fx, fz = system._node_factors(n0, min(hi, n - 1), "xz")
             local = np.zeros((hi - lo, width, 4))
             local[:min(hi, n - 1) - lo, :, :2] = fx[lo - n0:]
