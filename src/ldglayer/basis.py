@@ -140,14 +140,17 @@ def element_weights(mesh: Mesh, quad: Quadrature) -> np.ndarray:
     return 0.5 * mesh.widths[:, None] * quad.weights[None, :]
 
 
-def quad_points(mesh: Mesh, quad: Quadrature) -> tuple[np.ndarray, np.ndarray]:
-    """Physical quadrature points x and offsets 1 - x, each (N, nq)."""
+def quad_points(mesh: Mesh, quad: Quadrature) -> np.ndarray:
+    """Physical quadrature points x of every element, (N, nq)."""
     theta = 0.5 * (quad.nodes + 1.0)
-    x = mesh.nodes[:-1, None] + theta[None, :] * mesh.widths[:, None]
-    elem = np.arange(mesh.n_elements)[:, None]
-    omx = mesh.one_minus_x(np.broadcast_to(elem, x.shape),
-                           np.broadcast_to(theta[None, :], x.shape))
-    return x, omx
+    return mesh.nodes[:-1, None] + theta[None, :] * mesh.widths[:, None]
+
+
+def quad_offsets(mesh: Mesh, quad: Quadrature) -> np.ndarray:
+    """Offsets 1 - x of the ``quad_points``, (N, nq), from ``Mesh.one_minus_x``."""
+    theta = np.broadcast_to(0.5 * (quad.nodes + 1.0), (mesh.n_elements, quad.n))
+    elem = np.broadcast_to(np.arange(mesh.n_elements)[:, None], theta.shape)
+    return mesh.one_minus_x(elem, theta)
 
 
 def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
@@ -234,7 +237,7 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
     The smooth part goes through Gauss quadrature; a LayerFn's layer part is
     integrated exactly via ``layer_moments``.
     """
-    x, _omx = quad_points(mesh, quad)
+    x = quad_points(mesh, quad)
     p_table = legendre_table(k, quad.nodes)
     if isinstance(f, LayerFn):
         vals = np.asarray(f.smooth(x), dtype=float)
@@ -250,8 +253,8 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
 
 def element_values(f, mesh: Mesh, quad: Quadrature) -> np.ndarray:
     """f at the quadrature points of every element, offset-aware, (N, nq)."""
-    x, omx = quad_points(mesh, quad)
-    vals = np.asarray(eval_fn(f, x, omx), dtype=float)
+    x = quad_points(mesh, quad)
+    vals = np.asarray(eval_fn(f, x, quad_offsets(mesh, quad)), dtype=float)
     return np.broadcast_to(vals, x.shape)
 
 
@@ -342,39 +345,13 @@ class PiecewisePoly:
         if self.mesh is not other.mesh or self.k != other.k:
             raise ValueError("operands must share mesh and degree")
 
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        self._check_same(other)
-        return PiecewisePoly(self.mesh, self.k, self.coeffs + other.coeffs)
-
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         self._check_same(other)
         return PiecewisePoly(self.mesh, self.k, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar: float) -> "PiecewisePoly":
-        return PiecewisePoly(self.mesh, self.k, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.mesh, self.k, -self.coeffs)
-
 
 def zero_poly(mesh: Mesh, k: int) -> PiecewisePoly:
     return PiecewisePoly(mesh, k, np.zeros((mesh.n_elements, k + 1)))
-
-
-def eval_trace(v: PiecewisePoly, j: int, side: str) -> float:
-    """One-sided limit of v at node j: 'minus' from element j, 'plus' from j+1."""
-    n = v.mesh.n_elements
-    if side == "minus":
-        if not 1 <= j <= n:
-            raise ValueError(f"minus trace needs 1 <= j <= {n}, got {j}")
-        return float(v.trace_minus_all()[j - 1])
-    if side == "plus":
-        if not 0 <= j <= n - 1:
-            raise ValueError(f"plus trace needs 0 <= j <= {n - 1}, got {j}")
-        return float(v.trace_plus_all()[j])
-    raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
 
 
 class ProjectionSign(Enum):

@@ -8,8 +8,8 @@ values (``basis.node_values``) feed the jumps and the fine-region max norm,
 and inner products with exact functions use ``basis.element_moments``.
 
 Error quadrature defaults to 20 Gauss points per element; layer-adapted
-meshes resolve the layer factor within each fine element, and
-``energy_quadrature_drift`` exposes the 20-vs-40-point self-check.
+meshes resolve the layer factor within each fine element (the tests check
+that doubling the points to 40 moves the energy error by less than 1e-3).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PiecewisePoly, ProjectionSign, Quadrature, element_moments,
-                    element_values, element_weights, eval_fn, gauss_quadrature,
-                    node_values, project_gauss_radau, quad_points)
+                    element_weights, eval_fn, gauss_quadrature, node_values,
+                    project_gauss_radau, quad_offsets, quad_points)
 from .cases import TestCase, boundary_layer_case
 from .meshes import Mesh
 from .solver import LdgSolution, Problem, energy_parts, solve_ldg
@@ -62,6 +62,12 @@ def _error_jumps(ends: np.ndarray, v: PiecewisePoly) -> np.ndarray:
     return out
 
 
+def _misfit(exact, v: PiecewisePoly, quad: Quadrature, x: np.ndarray,
+            omx: np.ndarray) -> np.ndarray:
+    """exact - v at the quadrature points x (offsets omx) of every element."""
+    return np.asarray(eval_fn(exact, x, omx), dtype=float) - v.values_at(quad)
+
+
 def _linf_fine(ends: np.ndarray, v: PiecewisePoly, diff: np.ndarray) -> float:
     """Max |exact - v| over the fine region: the quadrature-point misfits
     ``diff`` plus the element endpoints, against the exact function's
@@ -79,14 +85,10 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
     mesh = w.U.mesh
     hw = element_weights(mesh, quad)
-    x, omx = quad_points(mesh, quad)
-
-    def misfit(exact_fn, v: PiecewisePoly) -> np.ndarray:
-        return np.asarray(eval_fn(exact_fn, x, omx), dtype=float) - v.values_at(quad)
-
-    eu = misfit(exact_u, w.U)
-    ep = misfit(exact_p, w.P)
-    eq = misfit(exact_q, w.Q)
+    x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
+    eu = _misfit(exact_u, w.U, quad, x, omx)
+    ep = _misfit(exact_p, w.P, quad, x, omx)
+    eq = _misfit(exact_q, w.Q, quad, x, omx)
     ends_u = node_values(exact_u, mesh)
     jumps_p = _error_jumps(node_values(exact_p, mesh), w.P)
     jumps_u = _error_jumps(ends_u, w.U)
@@ -105,39 +107,6 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
         part_u_l2=parts[2],
         part_u_jump=parts[3],
     )
-
-
-def error_energy_norm(exact_triple, w: LdgSolution, problem: Problem,
-                      quad: Quadrature | None = None) -> float:
-    """Energy norm of (u, p, q) - (U, P, Q)."""
-    exact_u, exact_p, exact_q = exact_triple
-    return error_record(exact_u, exact_p, exact_q, w, problem, quad).energy
-
-
-def l2_error(exact, v: PiecewisePoly, quad: Quadrature | None = None) -> float:
-    """Composite Gauss L2 distance between a function and a piecewise poly."""
-    if quad is None:
-        quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    diff = element_values(exact, v.mesh, quad) - v.values_at(quad)
-    return float(np.sqrt((element_weights(v.mesh, quad) * diff**2).sum()))
-
-
-def linf_error_fine(exact, v: PiecewisePoly,
-                    quad: Quadrature | None = None) -> float:
-    """Max-norm misfit over the fine region, sampled at quadrature nodes
-    plus element endpoints."""
-    if quad is None:
-        quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    return _linf_fine(node_values(exact, v.mesh), v,
-                      element_values(exact, v.mesh, quad) - v.values_at(quad))
-
-
-def energy_quadrature_drift(exact_triple, w: LdgSolution,
-                            problem: Problem) -> float:
-    """Relative change of the energy error when doubling 20 -> 40 points."""
-    e20 = error_energy_norm(exact_triple, w, problem, gauss_quadrature(20))
-    e40 = error_energy_norm(exact_triple, w, problem, gauss_quadrature(40))
-    return abs(e20 - e40) / max(e40, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +168,18 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
     proj_u = project_gauss_radau(ProjectionSign.MINUS, case.exact_u, mesh, k, quad)
     proj_p = project_gauss_radau(ProjectionSign.PLUS, case.exact_p, mesh, k, quad)
     proj_q = project_gauss_radau(ProjectionSign.PLUS, case.exact_q, mesh, k, quad)
+    hw = element_weights(mesh, quad)
+    x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
+    eu = _misfit(case.exact_u, proj_u, quad, x, omx)
+    ep = _misfit(case.exact_p, proj_p, quad, x, omx)
+    eq = _misfit(case.exact_q, proj_q, quad, x, omx)
     ends_u, ends_p = node_values(case.exact_u, mesh), node_values(case.exact_p, mesh)
     return ProjectionErrors(
-        l2_u=l2_error(case.exact_u, proj_u, quad),
-        l2_p=l2_error(case.exact_p, proj_p, quad),
-        l2_q=l2_error(case.exact_q, proj_q, quad),
-        linf_p_fine=linf_error_fine(case.exact_p, proj_p, quad),
-        linf_q_fine=linf_error_fine(case.exact_q, proj_q, quad),
+        l2_u=float(np.sqrt((hw * eu**2).sum())),
+        l2_p=float(np.sqrt((hw * ep**2).sum())),
+        l2_q=float(np.sqrt((hw * eq**2).sum())),
+        linf_p_fine=_linf_fine(ends_p, proj_p, ep),
+        linf_q_fine=_linf_fine(node_values(case.exact_q, mesh), proj_q, eq),
         jump_u=float(np.sqrt((_error_jumps(ends_u, proj_u) ** 2).sum())),
         jump_p=float(np.sqrt((_error_jumps(ends_p, proj_p) ** 2).sum())),
     )

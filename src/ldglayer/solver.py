@@ -14,12 +14,11 @@ boundary values chosen to enforce u(0) = u(1) = u'(1) = 0 weakly:
     j = N:       Uhat = 0, Phat = 0, Qhat = Q^-, Ptilde = P^-,
                  bU = (b+|b|)/2 U^-
 
-``flux_table`` is the one vectorised statement of these rules;
-``flux_values`` reads one node from it and ``bilinear_form`` tests the
-fluxes against the jumps of the test functions.  ``assemble`` writes the
-same rules out a second time as matrix blocks, and ``bilinear_form``, which
-never looks at the matrix, is the independent oracle those blocks are tested
-against.  Coefficients are sampled only through ``Problem.at`` (all four)
+``flux_table`` is the one vectorised statement of these rules, and
+``bilinear_form`` tests its fluxes against the jumps of the test functions.
+``assemble`` writes the same rules out a second time as matrix blocks, and
+``bilinear_form``, which never looks at the matrix, is the independent
+oracle those blocks are tested against.  Coefficients are sampled only through ``Problem.at`` (all four)
 or ``_sample`` (one), and the four terms of the energy norm live in
 ``energy_parts``.
 
@@ -173,17 +172,6 @@ class LdgSolution:
     info: SolveInfo | None = None
 
 
-@dataclass(frozen=True)
-class FluxValues:
-    """Numerical flux record at one node."""
-
-    uhat: float
-    phat: float
-    qhat: float
-    ptilde: float
-    bu: float
-
-
 def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
     """Numerical fluxes (Uhat, Phat, Qhat, Ptilde, bU) at nodes 0..N.
 
@@ -198,19 +186,6 @@ def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
             np.concatenate([q_p, q_m[-1:]]),
             np.concatenate([p_p, p_m[-1:]]),
             b_up * np.concatenate([zero, u_m]) + b_dn * np.concatenate([u_p, zero]))
-
-
-def _traces(v: PiecewisePoly) -> tuple[np.ndarray, np.ndarray]:
-    return v.trace_minus_all(), v.trace_plus_all()
-
-
-def flux_values(w: LdgSolution, j: int, problem: Problem) -> FluxValues:
-    """Numerical fluxes of the solution triple at node j (0 <= j <= N)."""
-    n = w.U.mesh.n_elements
-    if not 0 <= j <= n:
-        raise ValueError(f"node index must satisfy 0 <= j <= {n}, got {j}")
-    table = flux_table(problem, w.U.mesh, _traces(w.U), _traces(w.P), _traces(w.Q))
-    return FluxValues(*(float(column[j]) for column in table))
 
 
 @dataclass
@@ -399,7 +374,7 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     tq, wq = quad.nodes, quad.weights
     p_tab = legendre_table(k, tq)
     dp_tab = legendre_deriv_table(k, tq)
-    x, _ = quad_points(mesh, quad)
+    x = quad_points(mesh, quad)
     d_ref = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
     eye = np.broadcast_to(np.eye(m), (min(n, _LOCAL_CHUNK), m, m))
     rows = [slice(field * m, (field + 1) * m) for field in range(3)]
@@ -773,7 +748,7 @@ def _on_mesh(obj, mesh: Mesh, quad: Quadrature):
     """Quadrature values and trace pair (v^-, v^+) of a PiecewisePoly or a
     callable."""
     if isinstance(obj, PiecewisePoly):
-        return obj.values_at(quad), _traces(obj)
+        return obj.values_at(quad), (obj.trace_minus_all(), obj.trace_plus_all())
     ends = node_values(obj, mesh)
     return element_values(obj, mesh, quad), (ends[1:], ends[:-1])
 
@@ -797,7 +772,7 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
             raise TypeError("test triple chi must consist of PiecewisePoly")
 
     hw = element_weights(mesh, quad)
-    x, _ = quad_points(mesh, quad)
+    x = quad_points(mesh, quad)
     aq, bq, cq, bpq = problem.at(x)
     (u_vals, u_tr), (p_vals, p_tr), (q_vals, q_tr) = (
         _on_mesh(part, mesh, quad) for part in w)
@@ -848,6 +823,6 @@ def energy_norm(w: LdgSolution, problem: Problem,
         quad = gauss_quadrature(max(w.U.k + 3, 10))
     mesh = w.U.mesh
     parts = energy_parts(problem, mesh, element_weights(mesh, quad),
-                         quad_points(mesh, quad)[0], w.P.values_at(quad),
+                         quad_points(mesh, quad), w.P.values_at(quad),
                          w.U.values_at(quad), w.P.jumps(), w.U.jumps())
     return math.sqrt(sum(parts))

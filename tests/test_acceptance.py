@@ -271,7 +271,7 @@ def test_criterion_8_projection_rates():
     # (2k+4)-point rule, sharing only the closed-form layer integral, which
     # a plain low-order rule cannot resolve on deep-layer elements
     from ldglayer.basis import (ProjectionSign, element_moments,
-                                project_gauss_radau, quad_points)
+                                project_gauss_radau, quad_offsets, quad_points)
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(S, 64, 1e-8, 3.5))
     k = 2
@@ -288,7 +288,7 @@ def test_criterion_8_projection_rates():
     m_check = element_moments(case.exact_u, mesh, k, gauss_quadrature(2 * k + 4))
     check = gauss_quadrature(2 * k + 4)
     hw = 0.5 * mesh.widths[:, None] * check.weights[None, :]
-    x, omx = quad_points(mesh, check)
+    x, omx = quad_points(mesh, check), quad_offsets(mesh, check)
     unorm_global = float(np.sqrt((hw * case.exact_u(x, omx) ** 2).sum()))
     moment_worst = float(np.abs(m_check[:, :k] - proj.coeffs[:, :k]).max())
     if not moment_worst <= 1e-12 * unorm_global:

@@ -6,10 +6,11 @@ import pytest
 
 from ldglayer.basis import (LayerFn, PiecewisePoly, ProjectionSign,
                             _scaled_sph_bessel, basis_scale, basis_traces,
-                            element_moments, eval_fn, eval_trace,
-                            gauss_quadrature, layer_moments, legendre_table,
+                            element_moments, eval_fn, gauss_quadrature,
+                            layer_moments, legendre_table,
                             legendre_deriv_table, node_values,
-                            project_gauss_radau, quad_points, zero_poly)
+                            project_gauss_radau, quad_offsets, quad_points,
+                            zero_poly)
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, mesh_from_nodes, uniform_mesh
 
 
@@ -75,14 +76,14 @@ def test_traces_constant():
     coeffs[:, 0] = 7.0 * np.sqrt(mesh.widths)  # represents v = 7
     v = PiecewisePoly(mesh, 2, coeffs)
     for j in range(1, 4):
-        assert eval_trace(v, j, "minus") == pytest.approx(7.0, rel=1e-14)
-        assert eval_trace(v, j, "plus") == pytest.approx(7.0, rel=1e-14)
+        assert v.trace_minus_all()[j - 1] == pytest.approx(7.0, rel=1e-14)
+        assert v.trace_plus_all()[j] == pytest.approx(7.0, rel=1e-14)
 
 
 def test_traces_zero_poly():
     v = zero_poly(uniform_mesh(3), 1)
-    assert eval_trace(v, 1, "minus") == 0.0
-    assert eval_trace(v, 1, "plus") == 0.0
+    assert v.trace_minus_all()[0] == 0.0
+    assert v.trace_plus_all()[1] == 0.0
 
 
 def test_traces_linear_mode():
@@ -92,18 +93,8 @@ def test_traces_linear_mode():
     coeffs[1, 1] = 1.0  # element 2
     v = PiecewisePoly(mesh, 1, coeffs)
     h = mesh.widths[1]
-    assert eval_trace(v, 2, "minus") == pytest.approx(math.sqrt(3.0 / h), rel=1e-14)
-    assert eval_trace(v, 1, "plus") == pytest.approx(-math.sqrt(3.0 / h), rel=1e-14)
-
-
-def test_trace_range_validation():
-    v = zero_poly(uniform_mesh(3), 1)
-    with pytest.raises(ValueError):
-        eval_trace(v, 0, "minus")
-    with pytest.raises(ValueError):
-        eval_trace(v, 3, "plus")
-    with pytest.raises(ValueError):
-        eval_trace(v, 1, "left")
+    assert v.trace_minus_all()[1] == pytest.approx(math.sqrt(3.0 / h), rel=1e-14)
+    assert v.trace_plus_all()[1] == pytest.approx(-math.sqrt(3.0 / h), rel=1e-14)
 
 
 def test_basis_traces_are_endpoint_values():
@@ -146,12 +137,28 @@ def test_derivative_matches_value_table():
                        rtol=1e-12, atol=1e-12)
 
 
+def test_quad_offsets_are_one_minus_quad_points():
+    quad = gauss_quadrature(6)
+    mesh = uniform_mesh(8)
+    assert np.allclose(quad_offsets(mesh, quad), 1.0 - quad_points(mesh, quad),
+                       rtol=0.0, atol=1e-15)
+    # in the last layer element 1 - x has lost most of its digits; the
+    # offsets interpolate the node offsets to full relative precision
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 64, 1e-12, 2.5))
+    theta = 0.5 * (quad.nodes + 1.0)
+    exact = (1.0 - theta) * mesh.offsets[-2] + theta * mesh.offsets[-1]
+    omx = quad_offsets(mesh, quad)[-1]
+    assert np.allclose(omx, exact, rtol=1e-15, atol=0.0)
+    assert not np.allclose(1.0 - quad_points(mesh, quad)[-1], exact,
+                           rtol=1e-3, atol=0.0)
+
+
 def test_global_eval_matches_element_values():
     rng = np.random.default_rng(13)
     mesh = uniform_mesh(4)
     v = PiecewisePoly(mesh, 2, rng.standard_normal((4, 3)))
     quad = gauss_quadrature(5)
-    x, _ = quad_points(mesh, quad)
+    x = quad_points(mesh, quad)
     assert np.allclose(v(x.ravel()), v.values_at(quad).ravel(), rtol=1e-13)
 
 
@@ -292,7 +299,7 @@ def test_projection_moment_conditions(k):
 
     check = gauss_quadrature(2 * k + 4)
     hw = 0.5 * mesh.widths[:, None] * check.weights[None, :]
-    x, _ = quad_points(mesh, check)
+    x = quad_points(mesh, check)
     table = legendre_table(k, check.nodes)
     for sign in ProjectionSign:
         proj = project_gauss_radau(sign, f, mesh, k, gauss_quadrature(20))
@@ -323,7 +330,7 @@ def test_projection_k0_is_endpoint_interpolation():
 
     minus = project_gauss_radau(ProjectionSign.MINUS, f, mesh, 0)
     for j in range(1, 4):
-        assert eval_trace(minus, j, "minus") == pytest.approx(
+        assert minus.trace_minus_all()[j - 1] == pytest.approx(
             f(mesh.nodes[j]), rel=1e-13)
 
 

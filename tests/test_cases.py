@@ -5,7 +5,7 @@ import pytest
 from ldglayer.cases import boundary_layer_case, polynomial_case
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh
 from ldglayer.solver import Problem, solve_ldg
-from ldglayer.errors import error_energy_norm
+from ldglayer.errors import error_record
 
 EPS_SET = [1e-2, 1e-4, 1e-8, 1e-12]
 
@@ -120,8 +120,8 @@ def test_polynomial_case_reproduced_by_scheme():
     case = polynomial_case(1e-2)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV_SHISHKIN, 8, 1e-2, 4.5))
     w = solve_ldg(case.problem, mesh, 3)
-    err = error_energy_norm((case.exact_u, case.exact_p, case.exact_q), w,
-                            case.problem)
+    err = error_record(case.exact_u, case.exact_p, case.exact_q, w,
+                       case.problem).energy
     assert err <= 1e-10
 
 

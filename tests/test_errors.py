@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ldglayer.basis import (PiecewisePoly, ProjectionSign,
+from ldglayer.basis import (PiecewisePoly, ProjectionSign, gauss_quadrature,
                             project_gauss_radau, zero_poly)
 from ldglayer.cases import boundary_layer_case, polynomial_case
-from ldglayer.errors import (auxiliary_identity_residuals,
-                             energy_quadrature_drift, error_energy_norm,
-                             fit_rate, l2_error, linf_error_fine,
-                             projection_error_suite, rate_r2, rate_rs)
+from ldglayer.errors import (ProjectionErrors, auxiliary_identity_residuals,
+                             error_record, fit_rate, projection_error_suite,
+                             rate_r2, rate_rs)
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, uniform_mesh
 from ldglayer.solver import LdgSolution, Problem
 
@@ -35,12 +34,20 @@ def constant_solution(mesh, k, u_value):
                        P=zero_poly(mesh, k), Q=zero_poly(mesh, k))
 
 
+def u_record(exact, v):
+    """``error_record`` of v as the U field against ``exact``, with P = Q = 0
+    against zero."""
+    zero = zero_poly(v.mesh, v.k)
+    return error_record(exact, _zeros, _zeros, LdgSolution(v, zero, zero),
+                        UNIT_PROBLEM)
+
+
 def test_energy_of_unit_constant_is_sqrt_two():
     # exact solution 0, U = 1, P = Q = 0, a = b = c = 1: the volume term
     # contributes 1 and the two boundary u-jumps contribute 1/2 each.
     mesh = uniform_mesh(4)
     w = constant_solution(mesh, 1, 1.0)
-    e = error_energy_norm((_zeros, _zeros, _zeros), w, UNIT_PROBLEM)
+    e = error_record(_zeros, _zeros, _zeros, w, UNIT_PROBLEM).energy
     assert e == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
@@ -51,8 +58,8 @@ def test_energy_zero_for_projected_polynomial_solution():
         U=project_gauss_radau(ProjectionSign.MINUS, case.exact_u, mesh, 3),
         P=project_gauss_radau(ProjectionSign.PLUS, case.exact_p, mesh, 3),
         Q=project_gauss_radau(ProjectionSign.PLUS, case.exact_q, mesh, 3))
-    e = error_energy_norm((case.exact_u, case.exact_p, case.exact_q), w,
-                          case.problem)
+    e = error_record(case.exact_u, case.exact_p, case.exact_q, w,
+                     case.problem).energy
     assert e <= 1e-10
 
 
@@ -60,8 +67,8 @@ def test_energy_homogeneity():
     mesh = uniform_mesh(4)
     w1 = constant_solution(mesh, 1, 1.0)
     w3 = constant_solution(mesh, 1, 3.0)
-    e1 = error_energy_norm((_zeros, _zeros, _zeros), w1, UNIT_PROBLEM)
-    e3 = error_energy_norm((_zeros, _zeros, _zeros), w3, UNIT_PROBLEM)
+    e1 = error_record(_zeros, _zeros, _zeros, w1, UNIT_PROBLEM).energy
+    e3 = error_record(_zeros, _zeros, _zeros, w3, UNIT_PROBLEM).energy
     assert e3 == pytest.approx(3.0 * e1, rel=1e-13)
 
 
@@ -78,17 +85,17 @@ def test_l2_error_of_exact_polynomial():
     coeffs = np.zeros((3, 2))
     coeffs[:, 0] = 2.0 * np.sqrt(mesh.widths)
     v = PiecewisePoly(mesh, 1, coeffs)   # v = 2
-    assert l2_error(lambda x: 2.0 * _ones(x), v) <= 1e-13
+    assert u_record(lambda x: 2.0 * _ones(x), v).l2_u <= 1e-13
 
 
 def test_l2_error_unit_constant():
     v = zero_poly(uniform_mesh(4), 1)
-    assert l2_error(_ones, v) == pytest.approx(1.0, rel=1e-13)
+    assert u_record(_ones, v).l2_u == pytest.approx(1.0, rel=1e-13)
 
 
 def test_linf_fine_unit_constant():
     v = zero_poly(uniform_mesh(4), 1)
-    assert linf_error_fine(_ones, v) == pytest.approx(1.0, rel=1e-13)
+    assert u_record(_ones, v).linf_u_fine == pytest.approx(1.0, rel=1e-13)
 
 
 # -- rates -----------------------------------------------------------------
@@ -163,6 +170,17 @@ def test_projection_suite_layer_rate():
     assert -fit_rate([32, 64, 128, 256], jumps) >= k + 0.4
 
 
+def test_projection_suite_pinned_values():
+    # frozen bit for bit: any change in the order or form of the misfits,
+    # the L2 sums, the fine-region max norms or the jump sums shows here
+    mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 64, 1e-8, 2.5))
+    assert projection_error_suite(mesh, 1, 1e-8) == ProjectionErrors(
+        l2_u=0.0002673795718500663, l2_p=0.0005203779190693566,
+        l2_q=4.423477626890522e-07, linf_p_fine=0.014995953644829862,
+        linf_q_fine=0.01499595364482964, jump_u=0.004151662543994904,
+        jump_p=0.023142024278977876)
+
+
 # -- quadrature self-check and identity ------------------------------------
 
 def test_energy_quadrature_drift_small():
@@ -170,8 +188,10 @@ def test_energy_quadrature_drift_small():
                             (MeshKind.BAKHVALOV, 2, 1e-8, 64),
                             (MeshKind.BAKHVALOV_SHISHKIN, 3, 1e-12, 32)]:
         case, _mesh, w, _rec = solve_and_measure(kind, k, eps, n)
-        drift = energy_quadrature_drift(
-            (case.exact_u, case.exact_p, case.exact_q), w, case.problem)
+        e20, e40 = (error_record(case.exact_u, case.exact_p, case.exact_q, w,
+                                 case.problem, gauss_quadrature(points)).energy
+                    for points in (20, 40))
+        drift = abs(e20 - e40) / max(e40, 1e-300)
         assert drift < 1e-3
 
 

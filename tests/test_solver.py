@@ -15,10 +15,10 @@ from scipy.sparse.linalg import spsolve
 from ldglayer import solver
 from ldglayer.basis import PiecewisePoly, gauss_quadrature, zero_poly
 from ldglayer.cases import boundary_layer_case, polynomial_case
-from ldglayer.errors import error_energy_norm, error_record
+from ldglayer.errors import error_record
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, uniform_mesh
 from ldglayer.solver import (Problem, assemble, bilinear_form, energy_norm,
-                             flux_values, solve, solve_ldg)
+                             flux_table, solve, solve_ldg)
 
 from conftest import solve_and_measure
 
@@ -48,44 +48,49 @@ def make_random_solution(mesh, k, seed=0):
         Q=PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1))))
 
 
+def solution_fluxes(w, problem):
+    """``flux_table`` of the solution triple: (Uhat, Phat, Qhat, Ptilde, bU),
+    each indexed by node j = 0..N."""
+    return flux_table(problem, w.U.mesh,
+                      *((v.trace_minus_all(), v.trace_plus_all())
+                        for v in (w.U, w.P, w.Q)))
+
+
 def test_flux_upwind_positive_b():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 2)
     problem = unit_problem(0.1, _zeros, b_sign=1.0)
+    uhat, phat, qhat, ptilde, bu = solution_fluxes(w, problem)
     for j in (1, 2, 3):
-        fv = flux_values(w, j, problem)
-        assert fv.bu == pytest.approx(w.U.trace_minus_all()[j - 1], rel=1e-14)
-        assert fv.uhat == pytest.approx(w.U.trace_minus_all()[j - 1], rel=1e-14)
-        assert fv.phat == pytest.approx(w.P.trace_plus_all()[j], rel=1e-14)
-        assert fv.qhat == pytest.approx(w.Q.trace_plus_all()[j], rel=1e-14)
-        assert fv.ptilde == fv.phat
+        assert bu[j] == pytest.approx(w.U.trace_minus_all()[j - 1], rel=1e-14)
+        assert uhat[j] == pytest.approx(w.U.trace_minus_all()[j - 1], rel=1e-14)
+        assert phat[j] == pytest.approx(w.P.trace_plus_all()[j], rel=1e-14)
+        assert qhat[j] == pytest.approx(w.Q.trace_plus_all()[j], rel=1e-14)
+        assert ptilde[j] == phat[j]
 
 
 def test_flux_upwind_negative_b():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 2)
     problem = unit_problem(0.1, _zeros, b_sign=-1.0)
+    bu = solution_fluxes(w, problem)[4]
     for j in (1, 2, 3):
-        fv = flux_values(w, j, problem)
-        assert fv.bu == pytest.approx(-w.U.trace_plus_all()[j], rel=1e-14)
+        assert bu[j] == pytest.approx(-w.U.trace_plus_all()[j], rel=1e-14)
 
 
 def test_flux_boundaries():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 1, seed=3)
     problem = unit_problem(0.1, _zeros)
-    left = flux_values(w, 0, problem)
-    assert left.uhat == 0.0
-    assert left.phat == pytest.approx(w.P.trace_plus_all()[0], rel=1e-14)
-    assert left.qhat == pytest.approx(w.Q.trace_plus_all()[0], rel=1e-14)
-    assert left.bu == 0.0  # (b - |b|)/2 vanishes for b = 1
-    right = flux_values(w, 4, problem)
-    assert right.uhat == 0.0
-    assert right.phat == 0.0
-    assert right.qhat == pytest.approx(w.Q.trace_minus_all()[-1], rel=1e-14)
-    assert right.ptilde == pytest.approx(w.P.trace_minus_all()[-1], rel=1e-14)
-    with pytest.raises(ValueError):
-        flux_values(w, 5, problem)
+    uhat, phat, qhat, ptilde, bu = solution_fluxes(w, problem)
+    assert uhat[0] == 0.0
+    assert phat[0] == pytest.approx(w.P.trace_plus_all()[0], rel=1e-14)
+    assert qhat[0] == pytest.approx(w.Q.trace_plus_all()[0], rel=1e-14)
+    assert bu[0] == 0.0  # (b - |b|)/2 vanishes for b = 1
+    assert uhat[4] == 0.0
+    assert phat[4] == 0.0
+    assert qhat[4] == pytest.approx(w.Q.trace_minus_all()[-1], rel=1e-14)
+    assert ptilde[4] == pytest.approx(w.P.trace_minus_all()[-1], rel=1e-14)
 
 
 # -- assembly --------------------------------------------------------------
@@ -222,7 +227,7 @@ def test_cubic_manufactured_exactness(kind):
                       bprime=case.problem.bprime, c=case.problem.c,
                       f=case.problem.f, eps=0.37, alpha=1.0, gamma=1.0)
     w = solve(assemble(problem, mesh, 3))
-    err = error_energy_norm((case.exact_u, case.exact_p, case.exact_q), w, problem)
+    err = error_record(case.exact_u, case.exact_p, case.exact_q, w, problem).energy
     assert err <= 1e-10
 
 
