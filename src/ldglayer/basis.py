@@ -12,6 +12,12 @@ and error norms share: the basis endpoint values (``basis_traces``), a
 function's offset-aware node values (``node_values``) and its moments
 against the basis (``element_moments``).
 
+Everything that the degree k, the quadrature rule or the mesh alone fixes
+is formed once and kept read-only: ``gauss_quadrature`` returns one
+``Quadrature`` per point count, each rule keeps its Legendre value and
+derivative tables per k (``Quadrature.legendre``), and each mesh keeps its
+basis traces per k (``mesh_traces``), so they are freed with the mesh.
+
 Functions with a boundary-layer factor exp(-(1-x)/eps) are represented by
 ``LayerFn`` (smooth part + layer coefficient).  Their moments against the
 basis are integrated exactly through scaled modified spherical Bessel
@@ -22,7 +28,7 @@ functions, computed in numpy, accurate for element-width-to-eps ratios from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -40,6 +46,7 @@ class Quadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.nodes.setflags(write=False)
@@ -49,19 +56,34 @@ class Quadrature:
     def n(self) -> int:
         return self.nodes.size
 
+    def legendre(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``legendre_table`` and ``legendre_deriv_table`` of degree k at the
+        nodes, each (k+1, n); formed once per k and read-only."""
+        tables = self._tables.get(k)
+        if tables is None:
+            tables = self._tables[k] = _read_only(
+                legendre_table(k, self.nodes), legendre_deriv_table(k, self.nodes))
+        return tables
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
 
 @lru_cache(maxsize=None)
-def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(n: int) -> Quadrature:
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    return Quadrature(nodes=nodes, weights=weights)
 
 
 def gauss_quadrature(n: int) -> Quadrature:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1], the same read-only object on
+    every call with the same n."""
     if not 1 <= n <= _MAX_QUAD_POINTS:
         raise ValueError(f"supported point counts are 1..{_MAX_QUAD_POINTS}, got {n}")
-    nodes, weights = _leggauss_cached(n)
-    return Quadrature(nodes=nodes.copy(), weights=weights.copy())
+    return _gauss_rule(n)
 
 
 def legendre_table(k: int, t: np.ndarray) -> np.ndarray:
@@ -103,10 +125,14 @@ class LayerFn:
         self.coeff = float(coeff)
         self.eps = float(eps)
 
-    def __call__(self, x, one_minus_x=None):
+    def __call__(self, x, one_minus_x=None, layer=None):
+        """Values at x; ``layer``, when given, is exp(-(1-x)/eps) already
+        formed at these points."""
         x = np.asarray(x, dtype=float)
-        omx = 1.0 - x if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
-        return self.smooth(x) + self.coeff * np.exp(-omx / self.eps)
+        if layer is None:
+            omx = 1.0 - x if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
+            layer = np.exp(-omx / self.eps)
+        return self.smooth(x) + self.coeff * layer
 
 
 def eval_fn(f, x, one_minus_x=None):
@@ -114,6 +140,21 @@ def eval_fn(f, x, one_minus_x=None):
     if isinstance(f, LayerFn):
         return f(x, one_minus_x)
     return f(np.asarray(x, dtype=float))
+
+
+def eval_fns(fs, x, one_minus_x) -> list:
+    """``eval_fn`` of each of fs at x (offsets one_minus_x); LayerFn
+    instances with one eps share one evaluation of exp(-(1-x)/eps)."""
+    layers = {}
+    out = []
+    for f in fs:
+        if isinstance(f, LayerFn):
+            if f.eps not in layers:
+                layers[f.eps] = np.exp(-np.asarray(one_minus_x, dtype=float) / f.eps)
+            out.append(f(x, layer=layers[f.eps]))
+        else:
+            out.append(eval_fn(f, x, one_minus_x))
+    return out
 
 
 def basis_scale(widths: np.ndarray, k: int) -> np.ndarray:
@@ -129,10 +170,19 @@ def basis_traces(widths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return right * (-1.0) ** np.arange(k + 1), right
 
 
+def mesh_traces(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``basis_traces`` of the mesh's widths, formed once per k, held by
+    the mesh and read-only; the right traces are the basis scales."""
+    traces = mesh.memo.get(("traces", k))
+    if traces is None:
+        traces = mesh.memo["traces", k] = _read_only(*basis_traces(mesh.widths, k))
+    return traces
+
+
 def node_values(f, mesh: Mesh) -> np.ndarray:
     """f at nodes 0..N, offset-aware, shape (N+1,)."""
     vals = np.asarray(eval_fn(f, mesh.nodes, mesh.offsets), dtype=float)
-    return np.broadcast_to(vals, mesh.nodes.shape)
+    return vals if vals.shape == mesh.nodes.shape else np.broadcast_to(vals, mesh.nodes.shape)
 
 
 def element_weights(mesh: Mesh, quad: Quadrature) -> np.ndarray:
@@ -148,9 +198,7 @@ def quad_points(mesh: Mesh, quad: Quadrature) -> np.ndarray:
 
 def quad_offsets(mesh: Mesh, quad: Quadrature) -> np.ndarray:
     """Offsets 1 - x of the ``quad_points``, (N, nq), from ``Mesh.one_minus_x``."""
-    theta = np.broadcast_to(0.5 * (quad.nodes + 1.0), (mesh.n_elements, quad.n))
-    elem = np.broadcast_to(np.arange(mesh.n_elements)[:, None], theta.shape)
-    return mesh.one_minus_x(elem, theta)
+    return mesh.one_minus_x(np.arange(mesh.n_elements)[:, None], 0.5 * (quad.nodes + 1.0))
 
 
 def _scaled_sph_bessel(k: int, beta: np.ndarray) -> np.ndarray:
@@ -238,14 +286,11 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
     integrated exactly via ``layer_moments``.
     """
     x = quad_points(mesh, quad)
-    p_table = legendre_table(k, quad.nodes)
-    if isinstance(f, LayerFn):
-        vals = np.asarray(f.smooth(x), dtype=float)
-    else:
-        vals = np.asarray(f(x), dtype=float)
-    vals = np.broadcast_to(vals, x.shape)
-    core = np.einsum("q,eq,lq->el", quad.weights, vals, p_table)
-    moments = basis_scale(mesh.widths, k) * (0.5 * mesh.widths[:, None]) * core
+    vals = np.asarray((f.smooth if isinstance(f, LayerFn) else f)(x), dtype=float)
+    if vals.shape != x.shape:
+        vals = np.broadcast_to(vals, x.shape)
+    core = np.einsum("q,eq,lq->el", quad.weights, vals, quad.legendre(k)[0])
+    moments = mesh_traces(mesh, k)[1] * (0.5 * mesh.widths[:, None]) * core
     if isinstance(f, LayerFn):
         moments = moments + f.coeff * layer_moments(mesh, f.eps, k)
     return moments
@@ -277,21 +322,19 @@ class PiecewisePoly:
 
     @property
     def scale(self) -> np.ndarray:
-        """sqrt((2l+1)/h_j) basis scale factors, (N, k+1)."""
-        return basis_scale(self.mesh.widths, self.k)
+        """sqrt((2l+1)/h_j) basis scale factors, (N, k+1), read-only."""
+        return mesh_traces(self.mesh, self.k)[1]
 
     # -- evaluation ---------------------------------------------------------
 
     def values_at(self, quad: Quadrature) -> np.ndarray:
         """Values at the quadrature points of every element, (N, nq)."""
-        p_table = legendre_table(self.k, quad.nodes)
-        return np.einsum("em,mq->eq", self.coeffs * self.scale, p_table)
+        return np.einsum("em,mq->eq", self.coeffs * self.scale, quad.legendre(self.k)[0])
 
     def deriv_values_at(self, quad: Quadrature) -> np.ndarray:
         """Derivative values at the quadrature points, (N, nq)."""
-        dp_table = legendre_deriv_table(self.k, quad.nodes)
         scaled = self.coeffs * self.scale * (2.0 / self.mesh.widths[:, None])
-        return np.einsum("em,mq->eq", scaled, dp_table)
+        return np.einsum("em,mq->eq", scaled, quad.legendre(self.k)[1])
 
     def __call__(self, x) -> np.ndarray:
         """Global evaluation (points at interior nodes use the left element)."""
@@ -307,11 +350,11 @@ class PiecewisePoly:
 
     def trace_minus_all(self) -> np.ndarray:
         """Left-limit values v_j^- at nodes j = 1..N, shape (N,)."""
-        return (self.coeffs * basis_traces(self.mesh.widths, self.k)[1]).sum(axis=1)
+        return (self.coeffs * mesh_traces(self.mesh, self.k)[1]).sum(axis=1)
 
     def trace_plus_all(self) -> np.ndarray:
         """Right-limit values v_j^+ at nodes j = 0..N-1, shape (N,)."""
-        return (self.coeffs * basis_traces(self.mesh.widths, self.k)[0]).sum(axis=1)
+        return (self.coeffs * mesh_traces(self.mesh, self.k)[0]).sum(axis=1)
 
     def jumps(self) -> np.ndarray:
         """[v]_j for j = 0..N: v^+ - v^- inside, v_0^+ at 0, -v_N^- at N."""
@@ -380,7 +423,7 @@ def project_gauss_radau(sign: ProjectionSign, f, mesh: Mesh, k: int,
     m = k + 1
     moments = element_moments(f, mesh, k, quad)
 
-    left, right = basis_traces(mesh.widths, k)
+    left, right = mesh_traces(mesh, k)
     if sign is ProjectionSign.MINUS:
         trace_row, fvals = right, node_values(f, mesh)[1:]
     elif sign is ProjectionSign.PLUS:

@@ -7,6 +7,10 @@ cancelled analytically so no catastrophic cancellation occurs at small eps.
 ``polynomial_case`` is a consistency oracle: a cubic solution the degree-3
 scheme must reproduce to solver accuracy.
 
+``boundary_layer_case`` is memoised per eps: its ``Problem`` validates the
+coefficients once per process, and every row at that eps shares the one
+immutable case.
+
 Underflow of exp(-1/eps) and exp(-(1-x)/eps) to zero at small eps is silent
 and harmless: every occurrence is additive.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,8 +47,14 @@ class TestCase:
 
 
 def _const(value: float) -> Callable:
+    """A constant coefficient: ``value`` at every point, as a read-only
+    broadcast (zero strides) of one stored value to x's shape."""
+    cell = np.full(1, float(value))
+    cell.setflags(write=False)
+
     def fn(x):
-        return np.full_like(np.asarray(x, dtype=float), value)
+        shape = np.shape(x)
+        return np.ndarray(shape, buffer=cell, strides=(0,) * len(shape))
     return fn
 
 
@@ -51,6 +62,7 @@ _ONE = _const(1.0)
 _ZERO = _const(0.0)
 
 
+@lru_cache(maxsize=64)
 def boundary_layer_case(eps: float) -> TestCase:
     """Unit-coefficient benchmark with a layer of width O(eps) at x = 1.
 
@@ -59,6 +71,8 @@ def boundary_layer_case(eps: float) -> TestCase:
     u(0) = u(1) = u'(1) = 0.  The operator is
 
         eps u''' - u'' + u' + u = f.
+
+    Equal eps return the same object; a rejected eps raises on every call.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

@@ -122,6 +122,8 @@ def _run_study_command(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.format not in _FORMATS:  # argparse checks choices of flags only
         raise ValueError(f"unknown output format {args.format!r}")
+    if args.out != "-" and not Path(args.out).parent.is_dir():
+        raise ValueError(f"--out {args.out!r}: no directory {str(Path(args.out).parent)!r}")
 
     config = StudyConfig(
         mesh_kinds=_parse_kinds(args.mesh), degrees=_parse_degrees(args.k),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PiecewisePoly, ProjectionSign, Quadrature, element_moments,
-                    element_weights, eval_fn, gauss_quadrature, node_values,
+                    element_weights, eval_fns, gauss_quadrature, node_values,
                     project_gauss_radau, quad_offsets, quad_points)
 from .cases import TestCase, boundary_layer_case
 from .meshes import Mesh
@@ -62,10 +62,13 @@ def _error_jumps(ends: np.ndarray, v: PiecewisePoly) -> np.ndarray:
     return out
 
 
-def _misfit(exact, v: PiecewisePoly, quad: Quadrature, x: np.ndarray,
-            omx: np.ndarray) -> np.ndarray:
-    """exact - v at the quadrature points x (offsets omx) of every element."""
-    return np.asarray(eval_fn(exact, x, omx), dtype=float) - v.values_at(quad)
+def _misfits(exact: tuple, v: tuple, quad: Quadrature, x: np.ndarray,
+             omx: np.ndarray) -> list[np.ndarray]:
+    """exact - v at the quadrature points x (offsets omx) of every element,
+    for each pair of an exact function and a PiecewisePoly, the exact
+    values from ``eval_fns``."""
+    return [np.asarray(vals, dtype=float) - poly.values_at(quad)
+            for vals, poly in zip(eval_fns(exact, x, omx), v)]
 
 
 def _linf_fine(ends: np.ndarray, v: PiecewisePoly, diff: np.ndarray) -> float:
@@ -86,9 +89,7 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
     mesh = w.U.mesh
     hw = element_weights(mesh, quad)
     x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
-    eu = _misfit(exact_u, w.U, quad, x, omx)
-    ep = _misfit(exact_p, w.P, quad, x, omx)
-    eq = _misfit(exact_q, w.Q, quad, x, omx)
+    eu, ep, eq = _misfits((exact_u, exact_p, exact_q), (w.U, w.P, w.Q), quad, x, omx)
     ends_u = node_values(exact_u, mesh)
     jumps_p = _error_jumps(node_values(exact_p, mesh), w.P)
     jumps_u = _error_jumps(ends_u, w.U)
@@ -96,12 +97,12 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
 
     return ErrorRecord(
         energy=math.sqrt(sum(parts)),
-        l2_u=float(np.sqrt((hw * eu**2).sum())),
-        l2_p=float(np.sqrt((hw * ep**2).sum())),
-        l2_q=float(np.sqrt((hw * eq**2).sum())),
+        l2_u=math.sqrt((hw * eu**2).sum()),
+        l2_p=math.sqrt((hw * ep**2).sum()),
+        l2_q=math.sqrt((hw * eq**2).sum()),
         linf_u_fine=_linf_fine(ends_u, w.U, eu),
-        jump_u=float(np.sqrt((jumps_u**2).sum())),
-        jump_p=float(np.sqrt((jumps_p**2).sum())),
+        jump_u=math.sqrt((jumps_u**2).sum()),
+        jump_p=math.sqrt((jumps_p**2).sum()),
         part_p_jump=parts[0],
         part_p_l2=parts[1],
         part_u_l2=parts[2],
@@ -170,9 +171,8 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
     proj_q = project_gauss_radau(ProjectionSign.PLUS, case.exact_q, mesh, k, quad)
     hw = element_weights(mesh, quad)
     x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
-    eu = _misfit(case.exact_u, proj_u, quad, x, omx)
-    ep = _misfit(case.exact_p, proj_p, quad, x, omx)
-    eq = _misfit(case.exact_q, proj_q, quad, x, omx)
+    eu, ep, eq = _misfits((case.exact_u, case.exact_p, case.exact_q),
+                          (proj_u, proj_p, proj_q), quad, x, omx)
     ends_u, ends_p = node_values(case.exact_u, mesh), node_values(case.exact_p, mesh)
     return ProjectionErrors(
         l2_u=float(np.sqrt((hw * eu**2).sum())),

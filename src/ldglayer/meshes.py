@@ -16,7 +16,7 @@ precision, and element widths are offset differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,7 @@ def phi_eval(kind: MeshKind, t, N: int, eps: float):
         raise ValueError(f"N must be >= 2, got {N}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if np.any(t < 0.0) or np.any(t > 0.5):
+    if (t < 0.0).any() or (t > 0.5).any():
         raise ValueError("phi is defined on [0, 1/2]")
     if kind is MeshKind.SHISHKIN:
         out = 2.0 * t * math.log(N)
@@ -62,7 +62,7 @@ def phi_eval(kind: MeshKind, t, N: int, eps: float):
         slope = (1.0 - 1.0 / N) if kind is MeshKind.BAKHVALOV_SHISHKIN else (1.0 - eps)
         arg = -2.0 * slope * t
         # log1p argument stays > -1 for t <= 1/2; guard against roundoff anyway.
-        if np.any(1.0 + arg <= 0.0):
+        if (1.0 + arg <= 0.0).any():
             raise ValueError("grading function log argument is non-positive")
         out = -np.log1p(arg)
     return float(out) if out.ndim == 0 else out
@@ -125,7 +125,9 @@ class Mesh:
     """A built mesh: nodes x_0..x_N, offsets d_i = 1 - x_i, widths h_1..h_N.
 
     Offsets are the source of truth for geometry near x = 1; nodes are their
-    rounded images.  Immutable after construction.
+    rounded images.  Immutable after construction; ``memo`` holds read-only
+    arrays derived from the mesh alone (``basis.mesh_traces``), so they are
+    freed with it.
     """
 
     nodes: np.ndarray
@@ -134,6 +136,7 @@ class Mesh:
     tau: float
     clamped: bool
     spec: MeshSpec | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for arr in (self.nodes, self.offsets, self.widths):
@@ -149,7 +152,8 @@ class Mesh:
         return self.n_elements // 2
 
     def one_minus_x(self, elem: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """1 - x at relative position theta in [0, 1] of 0-based elements.
+        """1 - x at relative position theta in [0, 1] of 0-based elements,
+        ``elem`` and ``theta`` broadcast against each other.
 
         Interpolates in offset space, so the result keeps full relative
         precision arbitrarily close to x = 1.
@@ -202,12 +206,12 @@ def build_mesh(spec: MeshSpec) -> Mesh:
     widths[:half] = 2.0 * (1.0 - tau) / N
     widths[half:] = d_fine[:-1] - d_fine[1:]
 
-    if np.any(widths <= 0.0):
+    if (widths <= 0.0).any():
         raise ValueError(
             f"mesh degenerated: non-positive element width at N={N}, eps={spec.eps} "
             "(N too large for the floating-point resolution of eps)"
         )
-    if np.any(np.diff(nodes) <= 0.0):
+    if (nodes[1:] <= nodes[:-1]).any():
         raise ValueError(
             f"mesh degenerated: coincident nodes at N={N}, eps={spec.eps}"
         )

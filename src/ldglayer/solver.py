@@ -36,13 +36,15 @@ field blocks.  Block row (e, field) holds, in ascending column order, a
 fixed list of blocks of elements e-1, e and e+1: 3 for a U-row, 3 for a
 P-row and 7 for a Q-row of an interior element.  The pattern thus follows
 from (N, k) alone, and one index is stored per block rather than per
-entry.  The blocks are formed _LOCAL_CHUNK elements at a time and each is
-written once into its slot: a coupling block as the product of its node
-factors, each of the 7 nonzero field blocks of element e's diagonal block
-D from quadrature samples and traces that live for the chunk only.  A's
-data is the only store of D, and the node factors are stored nowhere: the
-system keeps the two traces and three nodal coefficients they are made of,
-and each user forms the factors of a chunk of nodes from them.
+entry; the element runs that share a pattern are worked out once per N.
+The blocks are formed _LOCAL_CHUNK elements at a time, each in the slot
+where A keeps it: a coupling block as the one outer product of trace and
+node coefficient it is, each of the 7 nonzero field blocks of element e's
+diagonal block D from quadrature samples and traces that live for the
+chunk only.  A's data is the only store of D, and the node factors are
+stored nowhere: the system keeps the two traces and three nodal
+coefficients they are made of, and each user forms the factors of a chunk
+of nodes from them.
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
 local solves of D, gathered from A's data and solved a chunk of elements at
@@ -65,22 +67,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import bsr_matvec
 
-from .basis import (PiecewisePoly, Quadrature, basis_traces, element_moments,
-                    element_values, element_weights, gauss_quadrature,
-                    legendre_deriv_table, legendre_table, node_values, quad_points)
+from .basis import (PiecewisePoly, Quadrature, _read_only, element_moments,
+                    element_values, element_weights, gauss_quadrature, mesh_traces,
+                    node_values, quad_points)
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
 _MATVEC_CHUNK = 1 << 10     # block rows of A converted at a time by _matvec
 _LOCAL_CHUNK = 1 << 9       # elements whose diagonal blocks _Condensed solves at a time
 _KL, _KU = 3, 4             # lower and upper bandwidths of the trace system S
+_INT32_MAX = np.iinfo(np.int32).max
 _VALIDATION_GRID = 2001
 
 
@@ -128,10 +132,12 @@ class Problem:
 
 
 def _sample(fn: Callable, x) -> np.ndarray:
-    """One coefficient at the points x, as a float array of x's shape; for
-    callers that need fewer than the four of ``Problem.at``."""
+    """One coefficient at the points x, as a float array of x's shape (fn's
+    own array when it has that shape); for callers that need fewer than the
+    four of ``Problem.at``."""
     x = np.asarray(x, dtype=float)
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    vals = np.asarray(fn(x), dtype=float)
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
 def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +261,6 @@ class BlockSystem:
         return out
 
 
-def _outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.einsum("el,em->elm", left, right)
-
-
 def _chunks(n: int):
     """Yield (lo, hi) for runs of _LOCAL_CHUNK indices covering 0..n-1."""
     for lo in range(0, n, _LOCAL_CHUNK):
@@ -271,6 +273,10 @@ def _chunks(n: int):
 _ROW_BLOCKS = (((-1, 0), (0, 0), (0, 1)),
                ((0, 1), (0, 2), (1, 1)),
                ((-1, 0), (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)))
+# An interior element's 13 blocks in slot order, as (row field, column
+# element - e, column field), and the slot of each.
+_SLOTS = tuple((row_field, *blk) for row_field, row in enumerate(_ROW_BLOCKS) for blk in row)
+_SLOT = {blk: slot for slot, blk in enumerate(_SLOTS)}
 
 
 def _block_count(n: int) -> int:
@@ -279,42 +285,58 @@ def _block_count(n: int) -> int:
     return 13 * n - 6 if n > 1 else 7
 
 
-def _element_groups(n: int):
-    """Yield (lo, hi, start, blocks) for the runs of elements 0, 1..N-2 and
-    N-1, which each share one block pattern: ``blocks`` lists one element's
-    blocks as (row field, column element - e, column field) in slot order,
-    and the run's blocks fill A's data from block ``start`` on, element by
-    element."""
-    start = 0
+class _Group(NamedTuple):
+    """A run lo..hi-1 of elements that share one block pattern."""
+
+    lo: int
+    hi: int
+    start: int              # the run's blocks fill A's data from this block on
+    keep: np.ndarray        # the _SLOTS each element of the run stores, in slot order
+    cols: np.ndarray        # 3 (column element - e) + column field per stored block
+    row_counts: np.ndarray  # blocks per row field
+    diag: tuple             # (position, row field, column field) of each D block
+
+
+@lru_cache(maxsize=64)
+def _element_groups(n: int) -> tuple[_Group, ...]:
+    """The runs of elements 0, 1..N-2 and N-1, which each share one block
+    pattern, filling A's data element by element in that order; memoised
+    per n, their arrays read-only."""
+    groups, start = [], 0
     for lo, hi in [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1):
-        present = {-1: lo > 0, 0: True, 1: hi < n}
-        blocks = [(row_field, *blk) for row_field, row in enumerate(_ROW_BLOCKS)
-                  for blk in row if present[blk[0]]]
-        yield lo, hi, start, blocks
-        start += (hi - lo) * len(blocks)
+        keep = np.array([slot for slot, (_, shift, _) in enumerate(_SLOTS)
+                         if (lo > 0 or shift >= 0) and (hi < n or shift <= 0)])
+        fields = np.array(_SLOTS)[keep]
+        diag = tuple((pos, int(row), int(col)) for pos, (row, shift, col)
+                     in enumerate(fields) if shift == 0)
+        groups.append(_Group(lo, hi, start, *_read_only(
+            keep, (3 * fields[:, 1] + fields[:, 2]).astype(np.int32),
+            np.bincount(fields[:, 0], minlength=3).astype(np.int32)), diag))
+        start += (hi - lo) * keep.size
+    return tuple(groups)
 
 
-def _block_runs(data: np.ndarray, n: int) -> list[tuple[int, int, list, np.ndarray]]:
-    """Where A's blocks live in its BSR data: (lo, hi, blocks, region) per
-    element run of ``_element_groups``, ``region`` the (hi - lo,
-    len(blocks), k+1, k+1) view of A's data that holds those elements'
-    blocks in the slot order of ``blocks``."""
+def _block_runs(data: np.ndarray, n: int) -> list[tuple[_Group, np.ndarray]]:
+    """Where A's blocks live in its BSR data: (group, region) per element
+    run of ``_element_groups``, ``region`` the (hi - lo, len(keep), k+1,
+    k+1) view of A's data that holds those elements' blocks in the slot
+    order of ``keep``."""
     if data.shape[0] != _block_count(n):
         raise ValueError(f"A holds {data.shape[0]} blocks, not the "
                          f"{_block_count(n)} of assemble's pattern on {n} elements")
-    return [(lo, hi, blocks, data[start:start + (hi - lo) * len(blocks)].reshape(
-                hi - lo, len(blocks), *data.shape[1:]))
-            for lo, hi, start, blocks in _element_groups(n)]
+    return [(g, data[g.start:g.start + (g.hi - g.lo) * g.keep.size].reshape(
+                g.hi - g.lo, g.keep.size, *data.shape[1:]))
+            for g in _element_groups(n)]
 
 
-def _overlaps(runs: list[tuple[int, int, list, np.ndarray]], lo: int, hi: int):
-    """Yield (i, j, blocks, region) for each run of ``_block_runs`` that
+def _overlaps(runs: list[tuple[_Group, np.ndarray]], lo: int, hi: int):
+    """Yield (i, j, group, region) for each run of ``_block_runs`` that
     holds some of the elements lo..hi-1: those are lo+i..lo+j-1, and
     ``region`` holds their blocks only."""
-    for g_lo, g_hi, blocks, region in runs:
-        a, b = max(lo, g_lo), min(hi, g_hi)
+    for g, region in runs:
+        a, b = max(lo, g.lo), min(hi, g.hi)
         if a < b:
-            yield a - lo, b - lo, blocks, region[a - g_lo:b - g_lo]
+            yield a - lo, b - lo, g, region[a - g.lo:b - g.lo]
 
 
 def assemble(problem: Problem, mesh: Mesh, k: int,
@@ -335,85 +357,105 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     eps = problem.eps
     h = mesh.widths
 
-    left, right = basis_traces(h, k)                             # (n, m)
+    left, right = mesh_traces(mesh, k)                           # (n, m)
     an = _sample(problem.a, mesh.nodes)
     b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
 
     dim = 3 * m * n
     nnzb = _block_count(n)
-    idx_dtype = np.int32 if max(nnzb, dim) <= np.iinfo(np.int32).max else np.int64
+    idx_dtype = np.int32 if max(nnzb, dim) <= _INT32_MAX else np.int64
     indices = np.empty(nnzb, dtype=idx_dtype)
-    row_counts = np.empty((n, 3), dtype=np.int64)
-    for lo, hi, start, blocks in _element_groups(n):
-        region = indices[start:start + (hi - lo) * len(blocks)].reshape(hi - lo, len(blocks))
-        row_counts[lo:hi] = np.bincount([blk[0] for blk in blocks], minlength=3)
-        elements = np.arange(lo, hi)
-        for slot, (_, col_shift, col_field) in enumerate(blocks):
-            region[:, slot] = 3 * (elements + col_shift) + col_field
+    row_counts = np.empty((n, 3), dtype=idx_dtype)
+    first_col = 3 * np.arange(n, dtype=idx_dtype)[:, None]
+    for g in _element_groups(n):
+        region = indices[g.start:g.start + (g.hi - g.lo) * g.keep.size]
+        np.add(first_col[g.lo:g.hi], g.cols, out=region.reshape(g.hi - g.lo, -1))
+        row_counts[g.lo:g.hi] = g.row_counts
     indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
     np.cumsum(row_counts.ravel(), out=indptr[1:])
 
     rhs = np.zeros(dim)
     rhs.reshape(n, 3, m)[:, 2, :] = element_moments(problem.f, mesh, k, quad)
 
-    # The blocks are written below into the matrix's own data.  Node e+1
-    # keeps element e's right trace r and element e+1's left trace l.
+    # The blocks are written below into the matrix's own data, which sits
+    # in ``padded`` with two spare blocks before it and four after: interior
+    # element e's 13 blocks are then blocks 13e.. of ``padded`` in slot
+    # order, where A keeps them, and every element is formed in that layout.
+    # Node e+1 keeps element e's right trace r and element e+1's left trace l.
+    padded = np.empty((len(_SLOTS) * n, m, m))
     system = BlockSystem(
-        matrix=sparse.bsr_matrix((np.empty((nnzb, m, m)), indices, indptr), shape=(dim, dim)),
+        matrix=sparse.bsr_matrix((padded[2:2 + nnzb], indices, indptr), shape=(dim, dim)),
         rhs=rhs, mesh=mesh, k=k, eps=eps, trace_r=right[:-1], trace_l=left[1:],
         node_a=an[1:-1], node_b_dn=b_dn[1:-1], node_b_up=b_up[1:-1])
-    runs = _block_runs(system.matrix.data, n)
 
-    def volume(weight: np.ndarray, test_tab: np.ndarray) -> np.ndarray:
+    def volume(weight: np.ndarray, test_tab: np.ndarray, out: np.ndarray | None = None):
         """<weight * trial_m, test_l> per element, times the basis scales
-        s_l s_m; against test derivatives the h factors cancel into them."""
-        out = np.einsum("eq,lq,mq->elm", weight, test_tab, p_tab)
+        s_l s_m, into out; against test derivatives the h factors cancel
+        into them."""
+        out = np.einsum("eq,lq,mq->elm", weight, test_tab, p_tab, out=out)
         out *= ss
         return out
 
-    tq, wq = quad.nodes, quad.weights
-    p_tab = legendre_table(k, tq)
-    dp_tab = legendre_deriv_table(k, tq)
+    wq = quad.weights
+    p_tab, dp_tab = quad.legendre(k)
     x = quad_points(mesh, quad)
     d_ref = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
-    eye = np.broadcast_to(np.eye(m), (min(n, _LOCAL_CHUNK), m, m))
-    rows = [slice(field * m, (field + 1) * m) for field in range(3)]
+    eye = np.eye(m)
+    r, l = system.trace_r, system.trace_l
 
     # _LOCAL_CHUNK elements at a time: D's 7 nonzero field blocks (element e
     # tested against its own unknowns; (U, Q) and (P, U) are zero) are formed
-    # from pieces that live for the chunk only, the coupling blocks as the
-    # products of their node factors, and each goes straight into its slots.
+    # in their slots from pieces that live for the chunk only, and each
+    # coupling block as the one outer product it is.
     for lo, hi in _chunks(n):
+        blk = padded[len(_SLOTS) * lo:len(_SLOTS) * hi].reshape(hi - lo, len(_SLOTS), m, m)
+        blk[:, _SLOT[0, 0, 1]] = blk[:, _SLOT[1, 0, 2]] = eye
+        uu, pp, qu, qp, qq = (blk[:, _SLOT[blk_id]] for blk_id in
+                              ((0, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 0, 2)))
         s = right[lo:hi]                                         # basis scales
-        ss = s[:, :, None] * s[:, None, :]
-        rxr = _outer(s, s)
-        lxl = _outer(left[lo:hi], left[lo:hi])
+        ss = s[:, :, None] * s[:, None, :]                       # r r^T
+        lxl = left[lo:hi, :, None] * left[lo:hi, None, :]
         aq, bq, cq, bpq = problem.at(x[lo:hi])
-        d_one = d_ref * ss
-        d = {(0, 1): eye, (1, 2): eye, (1, 1): eps * (d_one + lxl)}
-        d[2, 2] = -d_one - lxl
-        d[2, 1] = volume(wq[None, :] * aq, dp_tab) + an[lo:hi, None, None] * lxl
+        np.multiply(d_ref, ss, out=uu)
+        np.add(uu, lxl, out=pp)
+        pp *= eps
+        np.negative(uu, out=qq)
+        qq -= lxl
+        volume(wq[None, :] * aq, dp_tab, qp)
+        qp += an[lo:hi, None, None] * lxl
         if hi == n:
-            d[2, 2][-1] += rxr[-1]                 # Qhat_N = Q_N^-
-            d[2, 1][-1] -= an[-1] * rxr[-1]        # Ptilde_N = P_N^-
-        d_one[:min(hi, n - 1) - lo] -= rxr[:min(hi, n - 1) - lo]   # Uhat_N = 0
-        d[0, 0] = d_one
-        d[2, 0] = (-volume(wq[None, :] * bq, dp_tab)
-                   + volume((wq[None, :] * (cq - bpq)) * (0.5 * h[lo:hi, None]), p_tab)
-                   + b_up[lo + 1:hi + 1, None, None] * rxr - b_dn[lo:hi, None, None] * lxl)
-        n0 = max(lo - 1, 0)                        # nodes n0.. of the chunk's couplings
-        fx, fy, fz, fr = system._node_factors(n0, min(hi, n - 1))
-        for i, j, blocks, region in _overlaps(runs, lo, hi):
-            for slot, (row_field, col_shift, col_field) in enumerate(blocks):
-                if not col_shift:
-                    region[:, slot] = d[row_field, col_field][i:j]
-                    continue
-                # Element e couples to node e's X Y^T and node e-1's Z R^T.
-                f, g = (fx, fy) if col_shift > 0 else (fz, fr)
-                first = lo + min(col_shift, 0) - n0
-                np.matmul(f[first + i:first + j, rows[row_field]],
-                          g[first + i:first + j, rows[col_field]].transpose(0, 2, 1),
-                          out=region[:, slot])
+            qq[-1] += ss[-1]                       # Qhat_N = Q_N^-
+            qp[-1] -= an[-1] * ss[-1]              # Ptilde_N = P_N^-
+        uu[:min(hi, n - 1) - lo] -= ss[:min(hi, n - 1) - lo]      # Uhat_N = 0
+        volume(wq[None, :] * bq, dp_tab, qu)
+        np.negative(qu, out=qu)
+        qu += volume((wq[None, :] * (cq - bpq)) * (0.5 * h[lo:hi, None]), p_tab)
+        qu += b_up[lo + 1:hi + 1, None, None] * ss
+        qu -= b_dn[lo:hi, None, None] * lxl
+        # Each block of X Y^T and Z R^T (``BlockSystem._node_factors``) has
+        # one nonzero term: element e's X Y^T blocks are those of node
+        # index e (e < N-1), its Z R^T blocks those of index e-1 (e > 0).
+        # Each is formed as a sum from +0, as a matrix product forms it, so
+        # a -0 term is stored as +0.
+        up, dn = slice(lo, min(hi, n - 1)), slice(max(lo, 1) - 1, hi - 1)
+        ups, dns = slice(None, up.stop - lo), slice(dn.start + 1 - lo, None)
+        for rows, blk_id, col, row in (
+                (ups, (1, 1, 1), -eps * r[up], l[up]),
+                (ups, (2, 1, 0), r[up], system.node_b_dn[up, None] * l[up]),
+                (ups, (2, 1, 1), -system.node_a[up, None] * r[up], l[up]),
+                (ups, (2, 1, 2), r[up], l[up]),
+                (dns, (0, -1, 0), l[dn], r[dn]),
+                (dns, (2, -1, 0), -system.node_b_up[dn, None] * l[dn], r[dn])):
+            out = blk[rows, _SLOT[blk_id]]
+            np.multiply(col[:, :, None], row[:, None, :], out=out)
+            out += 0.0
+    # The first and last elements store fewer blocks: pack each into the
+    # slots it keeps, which A's data, two blocks into ``padded``, holds
+    # from where its 13 were formed on.
+    groups = _element_groups(n)
+    for g in groups[::max(len(groups) - 1, 1)]:
+        formed = padded[len(_SLOTS) * g.lo:len(_SLOTS) * g.hi][g.keep]
+        padded[2 + g.start:2 + g.start + g.keep.size] = formed
     return system
 
 
@@ -440,9 +482,10 @@ def _matvec(a: sparse.bsr_matrix, x: np.ndarray, b: np.ndarray | None = None, *,
     r, c = a.blocksize
     n_brow, n_bcol = a.shape[0] // r, a.shape[1] // c
     starts = range(0, n_brow, _MATVEC_CHUNK)
-    bounds = a.indptr[[*starts, n_brow]]
+    bounds = a.indptr[[*starts, n_brow]].tolist()
     if absolute or a.data.dtype != dtype:
-        vals = np.empty((int(np.diff(bounds).max(initial=0)), r, c), dtype=dtype)
+        vals = np.empty((max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0), r, c),
+                        dtype=dtype)
     if absolute or x.dtype != dtype:                 # a window spans <= chunk + 10 block columns
         x_buf = np.empty(min(_MATVEC_CHUNK + 10, n_bcol) * c, dtype=dtype)
     y_buf = np.empty(min(_MATVEC_CHUNK, n_brow) * r, dtype=dtype)
@@ -528,7 +571,7 @@ class _Condensed:
             sol = _solve_local(d, local)
             self.dxz[lo:hi] = sol[:, :, :3]
             x[lo:hi] = sol[:, :, 3]
-        del local, sol
+        del local, sol, d         # d holds the gather buffer
         t_dxz, t_x = self._node_traces(self.dxz, x[:, :, None])
         self.lub = None
         if n > 1:
@@ -548,10 +591,9 @@ class _Condensed:
         buf = np.zeros((min(n, _LOCAL_CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
         for lo, hi in _chunks(n):
             d = buf[:hi - lo]
-            for i, j, blocks, region in _overlaps(self._runs, lo, hi):
-                for slot, (row_field, col_shift, col_field) in enumerate(blocks):
-                    if not col_shift:
-                        d[i:j, row_field, :, col_field] = region[:, slot]
+            for i, j, g, region in _overlaps(self._runs, lo, hi):
+                for pos, row_field, col_field in g.diag:
+                    d[i:j, row_field, :, col_field] = region[:, pos]
             yield lo, hi, d.reshape(hi - lo, 3 * m, 3 * m)
 
     def growth_factor(self) -> float:
@@ -650,12 +692,15 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     where floor = eps_mach * || |A| |x| ||_inf: below the floor no
     float64-stored x can carry a smaller residual, so further steps cannot
     pay.  A float64 residual decides whether to refine at all (its rounding
-    noise only adds to it).  Refinement is the classical scheme: the float64
-    iterate x is corrected by the condensed solve of its residual
-    accumulated in extended precision (near the floor a double-precision
-    residual is dominated by its own rounding noise), at most ``max_refine``
-    times, and it also stops once a step leaves that residual no smaller,
-    the sign that it has reached the floor.  The last iterate is returned:
+    noise only adds to it).  At or below 0.3 * RESIDUAL_RTOL * ||rhs||_inf
+    it stops and passes whatever the floor is, so the floor is formed only
+    above that line or when the residual is not finite.  Refinement is the
+    classical scheme: the float64 iterate x is corrected by the condensed
+    solve of its residual accumulated in extended precision (near the floor
+    a double-precision residual is dominated by its own rounding noise), at
+    most ``max_refine`` times, and it also stops once a step leaves that
+    residual no smaller, the sign that it has reached the floor.  The last
+    iterate is returned:
     at the floor the residual is noise (Bakhvalov k = 1, N = 65536: the
     refined iterate's l2u is within 1e-11 of the converged value, the
     unrefined one's 5e-5 off, though its residual is smaller).  Only when
@@ -677,8 +722,6 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     del lu.x                # the iterate is held only here
     b_inf = _inf_norm(b)
     target = RESIDUAL_RTOL * b_inf
-    floor = _rounding_floor(a, x)
-    stop = max(0.3 * target, floor)
 
     def passes(r: float, floor: float) -> bool:
         # Below the floor the stated relative bound is unattainable
@@ -689,8 +732,12 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
         return r <= max(target, 4.0 * floor) and math.isfinite(r)
 
     # Fast path: a float64 residual already at the stop threshold is
-    # trustworthy (measurement noise only adds to it).
+    # trustworthy (measurement noise only adds to it).  At or below 0.3 *
+    # target it stops and passes whatever the floor is, so the floor is
+    # formed only above that line.
     r_inf = _matvec(a, x, b)
+    floor = 0.0 if r_inf <= 0.3 * target and math.isfinite(r_inf) else _rounding_floor(a, x)
+    stop = max(0.3 * target, floor)
     steps = 0
     if r_inf > stop:
         # Each long-double residual is rounded into the next correction; the

@@ -6,7 +6,7 @@ import pytest
 
 from ldglayer.basis import (LayerFn, PiecewisePoly, ProjectionSign,
                             _scaled_sph_bessel, basis_scale, basis_traces,
-                            element_moments, eval_fn, gauss_quadrature,
+                            element_moments, eval_fn, eval_fns, gauss_quadrature,
                             layer_moments, legendre_table,
                             legendre_deriv_table, node_values,
                             project_gauss_radau, quad_offsets, quad_points,
@@ -151,6 +151,34 @@ def test_quad_offsets_are_one_minus_quad_points():
     assert np.allclose(omx, exact, rtol=1e-15, atol=0.0)
     assert not np.allclose(1.0 - quad_points(mesh, quad)[-1], exact,
                            rtol=1e-3, atol=0.0)
+
+
+def test_quad_offsets_match_a_gather_of_every_point():
+    """Element indices of shape (N, 1) give the same bits as indices and
+    positions both broadcast to (N, nq)."""
+    quad = gauss_quadrature(20)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 64, 1e-12, 2.5))
+    theta = np.broadcast_to(0.5 * (quad.nodes + 1.0), (64, quad.n))
+    elem = np.broadcast_to(np.arange(64)[:, None], theta.shape)
+    assert np.array_equal(quad_offsets(mesh, quad), mesh.one_minus_x(elem, theta))
+
+
+def test_eval_fns_share_one_layer_factor_per_eps(monkeypatch):
+    """Evaluated together, LayerFns with one eps form exp(-(1-x)/eps) once
+    and give the bits each gives alone; other functions pass through."""
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 32, 1e-8, 2.5))
+    quad = gauss_quadrature(20)
+    x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
+    fns = (LayerFn(np.sin, 1e-8, 1e-8), LayerFn(np.cos, 2.0, 1e-8),
+           LayerFn(np.sin, -1.0, 1e-4), np.cos)
+    alone = [eval_fn(f, x, omx) for f in fns]
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda v: calls.append(1) or exp(v))
+    together = eval_fns(fns, x, omx)
+    assert len(calls) == 2
+    for a, b in zip(alone, together):
+        assert np.array_equal(a, b)
 
 
 def test_global_eval_matches_element_values():

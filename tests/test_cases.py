@@ -149,3 +149,31 @@ def test_problem_invariant_validation():
         Problem(a=ok, b=lambda x: np.sin(np.asarray(x, dtype=float)),
                 bprime=zero, c=lambda x: 5 * ok(x), f=zero,
                 eps=0.1, alpha=1.0, gamma=1.0)
+
+
+def test_boundary_layer_case_is_shared_per_eps():
+    """One case per eps: equal eps give the same object, different eps
+    different ones, and a rejected eps raises on every call, not once."""
+    assert boundary_layer_case(1e-8) is boundary_layer_case(1e-8)
+    assert boundary_layer_case(1e-8) is boundary_layer_case(float("1e-8"))
+    assert boundary_layer_case(1e-8) is not boundary_layer_case(1e-12)
+    assert boundary_layer_case(1e-12).eps == 1e-12
+    for eps in (0.0, 2.0):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                boundary_layer_case(eps)
+
+
+def test_constant_coefficients_are_read_only_broadcasts():
+    """The unit coefficients return one value broadcast to x's shape and
+    refuse writes, so no caller can change them for the next one."""
+    problem = boundary_layer_case(1e-8).problem
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    for fn, value in ((problem.a, 1.0), (problem.b, 1.0), (problem.c, 1.0),
+                      (problem.bprime, 0.0)):
+        vals = fn(x)
+        assert vals.shape == x.shape and vals.dtype == np.float64
+        assert np.all(vals == value)
+        with pytest.raises(ValueError):
+            vals[0, 0] = 5.0
+    assert problem.a(0.5).shape == ()

@@ -864,3 +864,144 @@ def test_bilinear_form_rejects_callable_test_functions():
     zero = zero_poly(mesh, 0)
     with pytest.raises(TypeError):
         bilinear_form((zero, zero, zero), (zero, zero, _ones), problem, mesh, 0)
+
+
+# -- outputs pinned across the per-row caching -------------------------------
+
+# (kind, k, eps, N) -> SolveInfo and ErrorRecord fields, measured before the
+# per-process caches (memoised case, block pattern, Legendre tables and
+# basis traces) and the lazy rounding floor went in; the first row refines,
+# the second is a k = 0 row whose float64 residual is at or below 0.3 times
+# the target, the third the Bakhvalov k = 3, eps = 1e-12, N = 512 row.
+_PINNED = {
+    (MeshKind.SHISHKIN, 2, 1e-12, 64): (
+        (4.625789604462826e-10, 1.6773160576175885, 1.0, 1),
+        (1.8518349960949452e-05, 1.3036958561546793e-06, 4.882914164001156e-06,
+         3.0638645863700085e-10, 1.2522564242380529e-15, 2.5194714145828583e-05,
+         0.0015574537512061874, 1.2128310935731124e-18, 2.384285073300311e-11,
+         1.6996228853548822e-12, 3.1738681044500744e-10)),
+    (MeshKind.BAKHVALOV_SHISHKIN, 0, 1e-8, 32): (
+        (1.464295440068851e-11, 2.363005263377151, 1.0, 0),
+        (0.24026426594684597, 0.0424951000700616, 0.11165251626401132,
+         7.660865764880927e-06, 1.2245822624478814e-08, 0.2948043178373204,
+         1.1545703034800825, 6.665162928390448e-09, 0.012466284388085313,
+         0.0018058335299645496, 0.043454792907763926)),
+    (MeshKind.BAKHVALOV, 3, 1e-12, 512): (
+        (3.1571894916365627e-09, 0.5940308564595301, 1.0, 1),
+        (1.0327766351639333e-10, 2.293948080557994e-12, 7.158853866632426e-12,
+         6.088789337901046e-17, 1.2702936620645574e-15, 1.4566924448214285e-10,
+         1.3609645448221755e-09, 9.261122461315157e-31, 5.124918868379804e-23,
+         5.262197796295705e-24, 1.0609764393999154e-20)),
+}
+
+
+def _study_row(kind, k, eps, n):
+    """A study row's system, solution and error record, as ``study`` runs it."""
+    case = boundary_layer_case(eps)
+    mesh = build_mesh(MeshSpec(kind, n, eps, k + 1.5, case.problem.alpha))
+    system = assemble(case.problem, mesh, k)
+    w = solve(system)
+    rec = error_record(case.exact_u, case.exact_p, case.exact_q, w, case.problem,
+                       gauss_quadrature(20))
+    return system, w, rec
+
+
+@pytest.mark.parametrize("row", list(_PINNED), ids=lambda r: f"{r[0].value}-k{r[1]}-{r[2]:g}-N{r[3]}")
+def test_study_rows_match_pinned_outputs(row):
+    """SolveInfo and every ErrorRecord field equal the pinned values exactly."""
+    _, w, rec = _study_row(*row)
+    info, fields = _PINNED[row]
+    assert dataclasses.astuple(w.info) == info
+    assert dataclasses.astuple(rec) == fields
+
+
+def _row_bytes(system, w, rec) -> tuple:
+    a = system.matrix
+    return (a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes(),
+            system.rhs.tobytes(), w.U.coeffs.tobytes(), w.P.coeffs.tobytes(),
+            w.Q.coeffs.tobytes(), dataclasses.astuple(w.info), dataclasses.astuple(rec))
+
+
+@pytest.mark.parametrize("row", [(MeshKind.SHISHKIN, 2, 1e-12, 64),
+                                 (MeshKind.BAKHVALOV, 1, 1e-8, 600)])
+def test_row_is_the_same_with_cold_and_warm_caches(row, monkeypatch):
+    """A row run with every per-process cache emptied and then again with
+    them filled gives the same bytes of A, rhs and solution and the same
+    SolveInfo and ErrorRecord; chunked so that the block pattern's three
+    element runs fall in different chunks."""
+    from ldglayer import basis, cases
+    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 7)
+    for cached in (cases.boundary_layer_case, solver._element_groups, basis._gauss_rule):
+        cached.cache_clear()
+    cold = _row_bytes(*_study_row(*row))
+    warm = _row_bytes(*_study_row(*row))
+    assert cold == warm
+
+
+def test_memoised_arrays_are_read_only():
+    """Every array a per-process cache or a mesh holds refuses writes."""
+    from ldglayer.basis import mesh_traces
+    quad = gauss_quadrature(6)
+    assert quad is gauss_quadrature(6)
+    mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 16, 1e-8, 2.5))
+    held = [quad.nodes, quad.weights, *quad.legendre(3), *mesh_traces(mesh, 2),
+            mesh.nodes, mesh.offsets, mesh.widths]
+    for g in solver._element_groups(16):
+        held += [g.keep, g.cols, g.row_counts]
+    for arr in held:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert quad.legendre(3)[0] is quad.legendre(3)[0]
+    assert mesh_traces(mesh, 2)[1] is mesh_traces(mesh, 2)[1]
+
+
+def _absolute_products(monkeypatch) -> list:
+    """Record each |A| |x| product ``_matvec`` forms."""
+    calls = []
+    matvec = solver._matvec
+
+    def counted(*args, **kwargs):
+        if kwargs.get("absolute"):
+            calls.append(1)
+        return matvec(*args, **kwargs)
+    monkeypatch.setattr(solver, "_matvec", counted)
+    return calls
+
+
+def test_rounding_floor_is_formed_only_above_the_stop_line(monkeypatch):
+    """A row whose float64 residual is at or below 0.3 * target forms no
+    |A| |x| product; a refining row still forms its floors and keeps its
+    pinned SolveInfo."""
+    calls = _absolute_products(monkeypatch)
+    lazy = (MeshKind.BAKHVALOV_SHISHKIN, 0, 1e-8, 32)
+    _, w, _ = _study_row(*lazy)
+    assert w.info.residual_inf <= 0.3 * solver.RESIDUAL_RTOL * w.info.rhs_inf
+    assert calls == []
+    refining = (MeshKind.SHISHKIN, 2, 1e-12, 64)
+    _, w, _ = _study_row(*refining)
+    assert len(calls) == 2          # the floor before refining and after it
+    assert dataclasses.astuple(w.info) == _PINNED[refining][0]
+
+
+def test_nan_residual_still_raises_with_the_floor(monkeypatch):
+    """A non-finite float64 residual is never taken for one below the stop
+    line: the floor is formed and the solve refuses with its message."""
+    system = assemble(unit_problem(0.1, lambda x: np.sin(np.asarray(x))), uniform_mesh(8), 1)
+    system.rhs[3] = np.nan
+    calls = _absolute_products(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"non-finite or exceeds .* float64 floor"):
+        solve(system)
+    assert calls
+
+
+def test_coupling_blocks_store_positive_zeros():
+    """Where b vanishes or changes sign, a coupling block's one nonzero
+    term is a signed zero; A stores it as +0, as the matrix product of the
+    node factors does."""
+    problem = Problem(a=_ones, b=lambda x: np.asarray(x) - 0.4, bprime=_ones,
+                      c=lambda x: 2.0 + np.asarray(x), f=_ones, eps=0.05,
+                      alpha=1.0, gamma=1.0)
+    for k in range(4):
+        data = assemble(problem, uniform_mesh(10), k).matrix.data
+        assert (data == 0.0).any()
+        assert not (np.signbit(data) & (data == 0.0)).any()

@@ -227,6 +227,8 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch):
         assert cli_main(["--eps", eps]) == 2
     for sigma in ("-1", "0", "nan", "inf"):
         assert cli_main(["--sigma", sigma]) == 2
+    # an --out in a missing directory is refused before the rows, not after
+    assert cli_main(["--mesh", "s", "--k", "1", "--out", str(tmp_path / "no_dir" / "t.csv")]) == 2
     mesh_args = ["--mesh", "b", "--n", "8", "--eps", "1e-4"]
     for sigma in ("nan", "inf"):
         assert cli_main(["mesh-dump", *mesh_args, "--sigma", sigma]) == 2
