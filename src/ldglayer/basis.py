@@ -9,8 +9,8 @@ its coefficient vector and mass matrices are identities regardless of h_j.
 
 Only this module states the element conventions that fluxes, projections
 and error norms share: the basis endpoint values (``basis_traces``), a
-function's offset-aware node values (``node_values``) and its moments
-against the basis (``element_moments``).
+function's values at points (``sample``), its offset-aware node values
+(``node_values``) and its moments against the basis (``element_moments``).
 
 Everything that the degree k, the quadrature rule or the mesh alone fixes
 is formed once and kept read-only: ``gauss_quadrature`` returns one
@@ -125,36 +125,29 @@ class LayerFn:
         self.coeff = float(coeff)
         self.eps = float(eps)
 
-    def __call__(self, x, one_minus_x=None, layer=None):
-        """Values at x; ``layer``, when given, is exp(-(1-x)/eps) already
-        formed at these points."""
-        x = np.asarray(x, dtype=float)
+    def __call__(self, x, one_minus_x=None):
+        """Values at x, the layer factor from one_minus_x when given."""
+        return sample(self, x, one_minus_x)
+
+
+def sample(f, x, one_minus_x=None, layers=None) -> np.ndarray:
+    """f at the points x, as a float array of x's shape (f's own array when
+    it has that shape).  A LayerFn forms its layer factor exp(-(1-x)/eps)
+    from the offsets one_minus_x when given, else from 1 - x; callers that
+    sample several LayerFns at the same points pass one ``layers`` dict,
+    which keeps each factor by eps so that it is formed once."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(f, LayerFn):
+        layer = None if layers is None else layers.get(f.eps)
         if layer is None:
             omx = 1.0 - x if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
-            layer = np.exp(-omx / self.eps)
-        return self.smooth(x) + self.coeff * layer
-
-
-def eval_fn(f, x, one_minus_x=None):
-    """Evaluate f at x; LayerFn instances receive 1 - x when available."""
-    if isinstance(f, LayerFn):
-        return f(x, one_minus_x)
-    return f(np.asarray(x, dtype=float))
-
-
-def eval_fns(fs, x, one_minus_x) -> list:
-    """``eval_fn`` of each of fs at x (offsets one_minus_x); LayerFn
-    instances with one eps share one evaluation of exp(-(1-x)/eps)."""
-    layers = {}
-    out = []
-    for f in fs:
-        if isinstance(f, LayerFn):
-            if f.eps not in layers:
-                layers[f.eps] = np.exp(-np.asarray(one_minus_x, dtype=float) / f.eps)
-            out.append(f(x, layer=layers[f.eps]))
-        else:
-            out.append(eval_fn(f, x, one_minus_x))
-    return out
+            layer = np.exp(-omx / f.eps)
+            if layers is not None:
+                layers[f.eps] = layer
+        vals = f.smooth(x) + f.coeff * layer
+    else:
+        vals = np.asarray(f(x), dtype=float)
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
 def basis_scale(widths: np.ndarray, k: int) -> np.ndarray:
@@ -181,8 +174,7 @@ def mesh_traces(mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def node_values(f, mesh: Mesh) -> np.ndarray:
     """f at nodes 0..N, offset-aware, shape (N+1,)."""
-    vals = np.asarray(eval_fn(f, mesh.nodes, mesh.offsets), dtype=float)
-    return vals if vals.shape == mesh.nodes.shape else np.broadcast_to(vals, mesh.nodes.shape)
+    return sample(f, mesh.nodes, mesh.offsets)
 
 
 def element_weights(mesh: Mesh, quad: Quadrature) -> np.ndarray:
@@ -285,10 +277,7 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
     The smooth part goes through Gauss quadrature; a LayerFn's layer part is
     integrated exactly via ``layer_moments``.
     """
-    x = quad_points(mesh, quad)
-    vals = np.asarray((f.smooth if isinstance(f, LayerFn) else f)(x), dtype=float)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape)
+    vals = sample(f.smooth if isinstance(f, LayerFn) else f, quad_points(mesh, quad))
     core = np.einsum("q,eq,lq->el", quad.weights, vals, quad.legendre(k)[0])
     moments = mesh_traces(mesh, k)[1] * (0.5 * mesh.widths[:, None]) * core
     if isinstance(f, LayerFn):
@@ -298,9 +287,7 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
 
 def element_values(f, mesh: Mesh, quad: Quadrature) -> np.ndarray:
     """f at the quadrature points of every element, offset-aware, (N, nq)."""
-    x = quad_points(mesh, quad)
-    vals = np.asarray(eval_fn(f, x, quad_offsets(mesh, quad)), dtype=float)
-    return np.broadcast_to(vals, x.shape)
+    return sample(f, quad_points(mesh, quad), quad_offsets(mesh, quad))
 
 
 @dataclass

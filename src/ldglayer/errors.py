@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (PiecewisePoly, ProjectionSign, Quadrature, element_moments,
-                    element_weights, eval_fns, gauss_quadrature, node_values,
-                    project_gauss_radau, quad_offsets, quad_points)
+                    element_weights, gauss_quadrature, node_values,
+                    project_gauss_radau, quad_offsets, quad_points, sample)
 from .cases import TestCase, boundary_layer_case
 from .meshes import Mesh
 from .solver import LdgSolution, Problem, energy_parts, solve_ldg
@@ -65,10 +65,10 @@ def _error_jumps(ends: np.ndarray, v: PiecewisePoly) -> np.ndarray:
 def _misfits(exact: tuple, v: tuple, quad: Quadrature, x: np.ndarray,
              omx: np.ndarray) -> list[np.ndarray]:
     """exact - v at the quadrature points x (offsets omx) of every element,
-    for each pair of an exact function and a PiecewisePoly, the exact
-    values from ``eval_fns``."""
-    return [np.asarray(vals, dtype=float) - poly.values_at(quad)
-            for vals, poly in zip(eval_fns(exact, x, omx), v)]
+    for each pair of an exact function and a PiecewisePoly; exact functions
+    with one eps share one layer factor."""
+    layers = {}
+    return [sample(f, x, omx, layers) - poly.values_at(quad) for f, poly in zip(exact, v)]
 
 
 def _linf_fine(ends: np.ndarray, v: PiecewisePoly, diff: np.ndarray) -> float:

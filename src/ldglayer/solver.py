@@ -19,7 +19,7 @@ boundary values chosen to enforce u(0) = u(1) = u'(1) = 0 weakly:
 ``assemble`` writes the same rules out a second time as matrix blocks, and
 ``bilinear_form``, which never looks at the matrix, is the independent
 oracle those blocks are tested against.  Coefficients are sampled only through ``Problem.at`` (all four)
-or ``_sample`` (one), and the four terms of the energy norm live in
+or ``basis.sample`` (one), and the four terms of the energy norm live in
 ``energy_parts``.
 
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
@@ -36,7 +36,7 @@ field blocks.  Block row (e, field) holds, in ascending column order, a
 fixed list of blocks of elements e-1, e and e+1: 3 for a U-row, 3 for a
 P-row and 7 for a Q-row of an interior element.  The pattern thus follows
 from (N, k) alone, and one index is stored per block rather than per
-entry; the element runs that share a pattern are worked out once per N.
+entry; ``_SLOTS`` states it.
 The blocks are formed _LOCAL_CHUNK elements at a time, each in the slot
 where A keeps it: a coupling block as the one outer product of trace and
 node coefficient it is, each of the 7 nonzero field blocks of element e's
@@ -67,8 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
@@ -77,7 +76,7 @@ from scipy.sparse._sparsetools import bsr_matvec
 
 from .basis import (PiecewisePoly, Quadrature, _read_only, element_moments,
                     element_values, element_weights, gauss_quadrature, mesh_traces,
-                    node_values, quad_points)
+                    node_values, quad_points, sample)
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
@@ -128,16 +127,7 @@ class Problem:
 
     def at(self, x) -> tuple[np.ndarray, ...]:
         """Coefficients (a, b, c, b') at the points x, each of x's shape."""
-        return tuple(_sample(fn, x) for fn in (self.a, self.b, self.c, self.bprime))
-
-
-def _sample(fn: Callable, x) -> np.ndarray:
-    """One coefficient at the points x, as a float array of x's shape (fn's
-    own array when it has that shape); for callers that need fewer than the
-    four of ``Problem.at``."""
-    x = np.asarray(x, dtype=float)
-    vals = np.asarray(fn(x), dtype=float)
-    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
+        return tuple(sample(fn, x) for fn in (self.a, self.b, self.c, self.bprime))
 
 
 def upwind_split(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +175,7 @@ def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
     1..N and v^+ at nodes 0..N-1.
     """
     (u_m, u_p), (p_m, p_p), (q_m, q_p) = u, p, q
-    b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
+    b_up, b_dn = upwind_split(sample(problem.b, mesh.nodes))
     zero = np.zeros(1)
     return (np.concatenate([zero, u_m[:-1], zero]),
             np.concatenate([p_p, zero]),
@@ -203,8 +193,8 @@ class BlockSystem:
     the U-equation, P-equation and Q-equation row groups.
 
     ``matrix`` is stored as BSR with (k+1) x (k+1) blocks, one block row per
-    (element, field), in the block pattern ``assemble`` writes, which depends
-    on (N, k) alone.  Its diagonal blocks D, element e's (3(k+1), 3(k+1))
+    (element, field), in the block layout stated next to ``_SLOTS``, which
+    depends on (N, k) alone.  Its diagonal blocks D, element e's (3(k+1), 3(k+1))
     block, are held there only.  At each interior node e+1 (index e =
     0..N-2) the coupling of element e's rows to element e+1's columns is
     X_e Y_e^T and that of element e+1's rows to element e's columns is
@@ -277,66 +267,37 @@ _ROW_BLOCKS = (((-1, 0), (0, 0), (0, 1)),
 # element - e, column field), and the slot of each.
 _SLOTS = tuple((row_field, *blk) for row_field, row in enumerate(_ROW_BLOCKS) for blk in row)
 _SLOT = {blk: slot for slot, blk in enumerate(_SLOTS)}
+# A's data holds interior element e's slot s as block 13e + s - 2.  An end
+# element lacks its outer neighbour: the first keeps the slots whose column
+# shift is >= 0, the last those <= 0 and a lone element those = 0, each in
+# slot order from block 0 (first) or 13e - 2 (last) on.  ``_KEPT[e == 0,
+# e == N-1]`` lists the slots element e keeps and ``_D_AT`` where D's 7
+# blocks, the slots ``_D_SLOTS`` of shift 0, sit among them.  Slot s of
+# element e lies in block column 3e + _COLS[s].
+_FIELDS = np.array(_SLOTS)
+_COLS = 3 * _FIELDS[:, 1] + _FIELDS[:, 2]
+_KEPT = {(first, last): np.flatnonzero(((_FIELDS[:, 1] >= 0) | (not first))
+                                       & ((_FIELDS[:, 1] <= 0) | (not last)))
+         for first in (False, True) for last in (False, True)}
+_D_SLOTS = _KEPT[True, True]
+_D_AT = {ends: np.searchsorted(kept, _D_SLOTS) for ends, kept in _KEPT.items()}
+_read_only(_FIELDS, _COLS, *_KEPT.values(), *_D_AT.values())
 
 
-def _block_count(n: int) -> int:
-    """Blocks A stores on n elements: 13 per interior element, 11 and 9 at
-    the two ends, 7 on a single element."""
-    return 13 * n - 6 if n > 1 else 7
+def _end_elements(n: int) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(e, start, kept, d_at) for the first and the last of n elements: A's
+    data holds element e's ``kept`` slots from block ``start`` on, its D
+    blocks at start + d_at, and the last element's end is A's block count."""
+    return [(e, max(13 * e - 2, 0), _KEPT[e == 0, e == n - 1], _D_AT[e == 0, e == n - 1])
+            for e in sorted({0, n - 1})]
 
 
-class _Group(NamedTuple):
-    """A run lo..hi-1 of elements that share one block pattern."""
-
-    lo: int
-    hi: int
-    start: int              # the run's blocks fill A's data from this block on
-    keep: np.ndarray        # the _SLOTS each element of the run stores, in slot order
-    cols: np.ndarray        # 3 (column element - e) + column field per stored block
-    row_counts: np.ndarray  # blocks per row field
-    diag: tuple             # (position, row field, column field) of each D block
-
-
-@lru_cache(maxsize=64)
-def _element_groups(n: int) -> tuple[_Group, ...]:
-    """The runs of elements 0, 1..N-2 and N-1, which each share one block
-    pattern, filling A's data element by element in that order; memoised
-    per n, their arrays read-only."""
-    groups, start = [], 0
-    for lo, hi in [(0, 1)] + [(1, n - 1)] * (n > 2) + [(n - 1, n)] * (n > 1):
-        keep = np.array([slot for slot, (_, shift, _) in enumerate(_SLOTS)
-                         if (lo > 0 or shift >= 0) and (hi < n or shift <= 0)])
-        fields = np.array(_SLOTS)[keep]
-        diag = tuple((pos, int(row), int(col)) for pos, (row, shift, col)
-                     in enumerate(fields) if shift == 0)
-        groups.append(_Group(lo, hi, start, *_read_only(
-            keep, (3 * fields[:, 1] + fields[:, 2]).astype(np.int32),
-            np.bincount(fields[:, 0], minlength=3).astype(np.int32)), diag))
-        start += (hi - lo) * keep.size
-    return tuple(groups)
-
-
-def _block_runs(data: np.ndarray, n: int) -> list[tuple[_Group, np.ndarray]]:
-    """Where A's blocks live in its BSR data: (group, region) per element
-    run of ``_element_groups``, ``region`` the (hi - lo, len(keep), k+1,
-    k+1) view of A's data that holds those elements' blocks in the slot
-    order of ``keep``."""
-    if data.shape[0] != _block_count(n):
-        raise ValueError(f"A holds {data.shape[0]} blocks, not the "
-                         f"{_block_count(n)} of assemble's pattern on {n} elements")
-    return [(g, data[g.start:g.start + (g.hi - g.lo) * g.keep.size].reshape(
-                g.hi - g.lo, g.keep.size, *data.shape[1:]))
-            for g in _element_groups(n)]
-
-
-def _overlaps(runs: list[tuple[_Group, np.ndarray]], lo: int, hi: int):
-    """Yield (i, j, group, region) for each run of ``_block_runs`` that
-    holds some of the elements lo..hi-1: those are lo+i..lo+j-1, and
-    ``region`` holds their blocks only."""
-    for g, region in runs:
-        a, b = max(lo, g.lo), min(hi, g.hi)
-        if a < b:
-            yield a - lo, b - lo, g, region[a - g.lo:b - g.lo]
+def _pack_ends(padded: np.ndarray, ends: list) -> None:
+    """Pack the ``_end_elements`` of ``padded``, which holds 13 slots per
+    element and A's data or indices from its block 2 on, into the slots
+    they keep."""
+    for e, start, kept, _ in ends:
+        padded[2 + start:2 + start + kept.size] = padded[13 * e + kept]
 
 
 def assemble(problem: Problem, mesh: Mesh, k: int,
@@ -358,19 +319,21 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     h = mesh.widths
 
     left, right = mesh_traces(mesh, k)                           # (n, m)
-    an = _sample(problem.a, mesh.nodes)
-    b_up, b_dn = upwind_split(_sample(problem.b, mesh.nodes))
+    an = sample(problem.a, mesh.nodes)
+    b_up, b_dn = upwind_split(sample(problem.b, mesh.nodes))
 
     dim = 3 * m * n
-    nnzb = _block_count(n)
+    ends = _end_elements(n)
+    _, start, kept, _ = ends[-1]
+    nnzb = start + kept.size
     idx_dtype = np.int32 if max(nnzb, dim) <= _INT32_MAX else np.int64
-    indices = np.empty(nnzb, dtype=idx_dtype)
+    indices = np.empty(13 * n, dtype=idx_dtype)      # laid out like ``padded`` below
+    np.add(3 * np.arange(n, dtype=idx_dtype)[:, None], _COLS, out=indices.reshape(n, 13))
+    _pack_ends(indices, ends)
     row_counts = np.empty((n, 3), dtype=idx_dtype)
-    first_col = 3 * np.arange(n, dtype=idx_dtype)[:, None]
-    for g in _element_groups(n):
-        region = indices[g.start:g.start + (g.hi - g.lo) * g.keep.size]
-        np.add(first_col[g.lo:g.hi], g.cols, out=region.reshape(g.hi - g.lo, -1))
-        row_counts[g.lo:g.hi] = g.row_counts
+    row_counts[:] = np.bincount(_FIELDS[:, 0])
+    for e, _, kept, _ in ends:
+        row_counts[e] = np.bincount(_FIELDS[kept, 0], minlength=3)
     indptr = np.zeros(3 * n + 1, dtype=idx_dtype)
     np.cumsum(row_counts.ravel(), out=indptr[1:])
 
@@ -382,9 +345,10 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     # element e's 13 blocks are then blocks 13e.. of ``padded`` in slot
     # order, where A keeps them, and every element is formed in that layout.
     # Node e+1 keeps element e's right trace r and element e+1's left trace l.
-    padded = np.empty((len(_SLOTS) * n, m, m))
+    padded = np.empty((13 * n, m, m))
     system = BlockSystem(
-        matrix=sparse.bsr_matrix((padded[2:2 + nnzb], indices, indptr), shape=(dim, dim)),
+        matrix=sparse.bsr_matrix((padded[2:2 + nnzb], indices[2:2 + nnzb], indptr),
+                                 shape=(dim, dim)),
         rhs=rhs, mesh=mesh, k=k, eps=eps, trace_r=right[:-1], trace_l=left[1:],
         node_a=an[1:-1], node_b_dn=b_dn[1:-1], node_b_up=b_up[1:-1])
 
@@ -408,7 +372,7 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     # in their slots from pieces that live for the chunk only, and each
     # coupling block as the one outer product it is.
     for lo, hi in _chunks(n):
-        blk = padded[len(_SLOTS) * lo:len(_SLOTS) * hi].reshape(hi - lo, len(_SLOTS), m, m)
+        blk = padded[13 * lo:13 * hi].reshape(hi - lo, 13, m, m)
         blk[:, _SLOT[0, 0, 1]] = blk[:, _SLOT[1, 0, 2]] = eye
         uu, pp, qu, qp, qq = (blk[:, _SLOT[blk_id]] for blk_id in
                               ((0, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 0, 2)))
@@ -452,10 +416,7 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     # The first and last elements store fewer blocks: pack each into the
     # slots it keeps, which A's data, two blocks into ``padded``, holds
     # from where its 13 were formed on.
-    groups = _element_groups(n)
-    for g in groups[::max(len(groups) - 1, 1)]:
-        formed = padded[len(_SLOTS) * g.lo:len(_SLOTS) * g.hi][g.keep]
-        padded[2 + g.start:2 + g.start + g.keep.size] = formed
+    _pack_ends(padded, ends)
     return system
 
 
@@ -555,7 +516,10 @@ class _Condensed:
         self.system = system
         self.n, self.m = system.mesh.n_elements, system.k + 1
         n, width = self.n, 3 * self.m
-        self._runs = _block_runs(system.matrix.data, n)
+        _, start, kept, _ = _end_elements(n)[-1]
+        if system.matrix.data.shape[0] != start + kept.size:
+            raise ValueError(f"A holds {system.matrix.data.shape[0]} blocks, not the "
+                             f"{start + kept.size} of assemble's pattern on {n} elements")
         # The first local solve gives D^-1 X, D^-1 Z and D^-1 b together;
         # X of node e sits in element e, Z in element e+1.
         self.dxz = np.empty((n, width, 3))      # D^-1 [X Z]
@@ -588,12 +552,18 @@ class _Condensed:
         D their diagonal blocks gathered from A's data into one buffer
         reused for every run, as (hi - lo, 3(k+1), 3(k+1))."""
         n, m = self.n, self.m
+        data, ends = self.system.matrix.data, _end_elements(n)
+        rows, cols = _FIELDS[_D_SLOTS, 0], _FIELDS[_D_SLOTS, 2]
         buf = np.zeros((min(n, _LOCAL_CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
         for lo, hi in _chunks(n):
             d = buf[:hi - lo]
-            for i, j, g, region in _overlaps(self._runs, lo, hi):
-                for pos, row_field, col_field in g.diag:
-                    d[i:j, row_field, :, col_field] = region[:, pos]
+            a, b = max(lo, 1), min(hi, n - 1)          # the chunk's interior elements
+            if a < b:
+                for s, row, col in zip(_D_SLOTS.tolist(), rows.tolist(), cols.tolist()):
+                    d[a - lo:b - lo, row, :, col] = data[13 * a + s - 2:13 * b + s - 2:13]
+            for e, start, _, d_at in ends:
+                if lo <= e < hi:
+                    d[e - lo, rows, :, cols] = data[start + d_at]
             yield lo, hi, d.reshape(hi - lo, 3 * m, 3 * m)
 
     def growth_factor(self) -> float:
@@ -824,7 +794,7 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
     (u_vals, u_tr), (p_vals, p_tr), (q_vals, q_tr) = (
         _on_mesh(part, mesh, quad) for part in w)
     uhat, phat, qhat, ptilde, bu = flux_table(problem, mesh, u_tr, p_tr, q_tr)
-    an = _sample(problem.a, mesh.nodes)
+    an = sample(problem.a, mesh.nodes)
     v_vals, r_vals, s_vals = (part.values_at(quad) for part in chi)
     dv, dr, ds = (part.deriv_values_at(quad) for part in chi)
 
@@ -852,9 +822,9 @@ def energy_parts(problem: Problem, mesh: Mesh, hw: np.ndarray, x: np.ndarray,
     given by ``element_weights`` and ``quad_points``) and their jumps at
     nodes j = 0..N.
     """
-    aq = _sample(problem.a, x)
-    c_half_bp = _sample(problem.c, x) - 0.5 * _sample(problem.bprime, x)
-    bn = _sample(problem.b, mesh.nodes)
+    aq = sample(problem.a, x)
+    c_half_bp = sample(problem.c, x) - 0.5 * sample(problem.bprime, x)
+    bn = sample(problem.b, mesh.nodes)
     return (0.5 * problem.eps * float((jumps_p**2).sum()),
             float((hw * aq * p_vals**2).sum()),
             float((hw * c_half_bp * u_vals**2).sum()),

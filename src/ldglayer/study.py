@@ -139,7 +139,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """Run the full sweep; deterministic row order (kind, k, eps, N)."""
     args = list(_job_args(config))
     if config.workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
             rows = list(pool.map(_run_single_safe, args))
     else:
         rows = [_run_single_safe(a) for a in args]

@@ -6,10 +6,10 @@ import pytest
 
 from ldglayer.basis import (LayerFn, PiecewisePoly, ProjectionSign,
                             _scaled_sph_bessel, basis_scale, basis_traces,
-                            element_moments, eval_fn, eval_fns, gauss_quadrature,
+                            element_moments, gauss_quadrature,
                             layer_moments, legendre_table,
                             legendre_deriv_table, node_values,
-                            project_gauss_radau, quad_offsets, quad_points,
+                            project_gauss_radau, quad_offsets, quad_points, sample,
                             zero_poly)
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, mesh_from_nodes, uniform_mesh
 
@@ -171,11 +171,12 @@ def test_eval_fns_share_one_layer_factor_per_eps(monkeypatch):
     x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
     fns = (LayerFn(np.sin, 1e-8, 1e-8), LayerFn(np.cos, 2.0, 1e-8),
            LayerFn(np.sin, -1.0, 1e-4), np.cos)
-    alone = [eval_fn(f, x, omx) for f in fns]
+    alone = [sample(f, x, omx) for f in fns]
     calls = []
     exp = np.exp
     monkeypatch.setattr(np, "exp", lambda v: calls.append(1) or exp(v))
-    together = eval_fns(fns, x, omx)
+    layers = {}
+    together = [sample(f, x, omx, layers) for f in fns]
     assert len(calls) == 2
     for a, b in zip(alone, together):
         assert np.array_equal(a, b)
@@ -209,7 +210,7 @@ def test_layer_fn_uses_offsets():
     # 1 - x computed from x loses the layer; an explicit offset keeps it
     omx = 2.5e-13
     assert f(1.0 - omx, omx) == pytest.approx(math.exp(-0.25), rel=1e-12)
-    assert eval_fn(f, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(
+    assert sample(f, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(
         math.exp(-1e12), abs=1e-300)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -743,23 +744,58 @@ def test_block_form_matches_matrix(problem_name, kind, n, k):
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_local_blocks_are_the_diagonal_blocks_of_a(n, k, monkeypatch):
-    """Gathered three elements at a time, so that chunks straddle the
-    first, interior and last element runs, the local blocks equal the dense
-    A's diagonal 3(k+1) blocks bit for bit, their (U, Q) and (P, U) field
-    blocks are zero, and every element comes once, in order."""
-    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 3)
+    """Gathered one or three elements at a time, so that each end element
+    sits alone in its chunk or chunks straddle the first, interior and last
+    elements, the local blocks equal the dense A's diagonal 3(k+1) blocks
+    bit for bit, their (U, Q) and (P, U) field blocks are zero, and every
+    element comes once, in order."""
     system = assemble(_varying_problem(0.05), uniform_mesh(n), k)
     a, m = system.matrix.toarray(), k + 1
     width = 3 * m
-    seen = []
-    for lo, hi, d in solver._Condensed(system)._local_blocks():
-        assert d.shape == (hi - lo, width, width) and hi - lo <= 3
-        for e in range(lo, hi):
-            block = slice(e * width, (e + 1) * width)
-            assert np.array_equal(d[e - lo], a[block, block])
-            assert not d[e - lo, :m, 2 * m:].any() and not d[e - lo, m:2 * m, :m].any()
-            seen.append(e)
-    assert seen == list(range(n))
+    for chunk in (1, 3):
+        monkeypatch.setattr(solver, "_LOCAL_CHUNK", chunk)
+        seen = []
+        for lo, hi, d in solver._Condensed(system)._local_blocks():
+            assert d.shape == (hi - lo, width, width) and hi - lo <= chunk
+            for e in range(lo, hi):
+                block = slice(e * width, (e + 1) * width)
+                assert np.array_equal(d[e - lo], a[block, block])
+                assert not d[e - lo, :m, 2 * m:].any() and not d[e - lo, m:2 * m, :m].any()
+                seen.append(e)
+        assert seen == list(range(n))
+
+
+@pytest.mark.parametrize("n, k, digest", [
+    (1, 0, "21ddb1f59e84904e7d226e4bdfcf1b6ce65f8039e67087043311917814453e34"),
+    (1, 3, "d131c45399d2b9326006d38641c80198d8624b203a9aea40eeee45cfb8b35237"),
+    (2, 0, "1fc2192a0985a0a6800b3d68e004397121dbd21a8cac6783fc45cbc9c6718eb2"),
+    (2, 3, "e5a8a584150540a39ce7eb3de767cd9e8768dca8ad462145dc500040d2561afc"),
+    (3, 0, "e0975d242b08c27b4d0836c95d9f95b3f08bd421d8fe8c8b4a35945f2678d980"),
+    (3, 3, "c2d0584d698d31f4170f10aea56ebc2d8caaeb56976d0c690e349ab9145b0d70"),
+])
+def test_end_element_matrix_bytes(n, k, digest):
+    """On one to three elements, where the end elements are most of A, the
+    bytes of A's data, indices and indptr match the pinned digests."""
+    a = assemble(_varying_problem(0.05), uniform_mesh(n), k).matrix
+    h = hashlib.sha256()
+    for arr in (a.data, a.indices, a.indptr):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_a_one_block_short_is_refused_before_any_local_solve(monkeypatch):
+    """A system whose A lacks one of assemble's blocks raises ValueError
+    before a local block is solved."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(4), 1)
+    a = system.matrix
+    indptr = a.indptr.copy()
+    indptr[-1] -= 1
+    system.matrix = sparse.bsr_matrix((a.data[:-1], a.indices[:-1], indptr), shape=a.shape)
+    solves = []
+    monkeypatch.setattr(solver, "_solve_local", lambda *args: solves.append(1))
+    with pytest.raises(ValueError, match="A holds 45 blocks, not the 46"):
+        solve(system)
+    assert solves == []
 
 
 def test_chunked_local_solves_are_bit_identical(monkeypatch):
@@ -931,7 +967,7 @@ def test_row_is_the_same_with_cold_and_warm_caches(row, monkeypatch):
     element runs fall in different chunks."""
     from ldglayer import basis, cases
     monkeypatch.setattr(solver, "_LOCAL_CHUNK", 7)
-    for cached in (cases.boundary_layer_case, solver._element_groups, basis._gauss_rule):
+    for cached in (cases.boundary_layer_case, basis._gauss_rule):
         cached.cache_clear()
     cold = _row_bytes(*_study_row(*row))
     warm = _row_bytes(*_study_row(*row))
@@ -946,8 +982,7 @@ def test_memoised_arrays_are_read_only():
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 16, 1e-8, 2.5))
     held = [quad.nodes, quad.weights, *quad.legendre(3), *mesh_traces(mesh, 2),
             mesh.nodes, mesh.offsets, mesh.widths]
-    for g in solver._element_groups(16):
-        held += [g.keep, g.cols, g.row_counts]
+    held += [solver._FIELDS, solver._COLS, *solver._KEPT.values(), *solver._D_AT.values()]
     for arr in held:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0

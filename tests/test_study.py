@@ -182,6 +182,32 @@ def test_parallel_workers_match_serial():
     assert serial == parallel
 
 
+def test_pool_never_outnumbers_the_rows(monkeypatch):
+    """A 2-row sweep with 5000 workers asks for a pool of 2; a stub
+    executor records the request and runs the rows in-process, so no pool
+    is started."""
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(study, "ProcessPoolExecutor", Recorder)
+    report = run_study(StudyConfig(mesh_kinds=(MeshKind.SHISHKIN,), degrees=(1,),
+                                   eps_list=(1e-4,), n_list=(16, 32), workers=5000))
+    assert requested == [2]
+    assert len(report.rows) == 2 and not report.any_failed
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_study_writes_csv(tmp_path):
