@@ -73,17 +73,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> Quadrature:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return Quadrature(nodes=nodes, weights=weights)
-
-
 def gauss_quadrature(n: int) -> Quadrature:
     """n-point Gauss-Legendre rule on [-1, 1], the same read-only object on
-    every call with the same n."""
+    every call with the same n (a refused n raises each time)."""
     if not 1 <= n <= _MAX_QUAD_POINTS:
         raise ValueError(f"supported point counts are 1..{_MAX_QUAD_POINTS}, got {n}")
-    return _gauss_rule(n)
+    return Quadrature(*np.polynomial.legendre.leggauss(n))
 
 
 def legendre_table(k: int, t: np.ndarray) -> np.ndarray:

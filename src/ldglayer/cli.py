@@ -122,8 +122,12 @@ def _run_study_command(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.format not in _FORMATS:  # argparse checks choices of flags only
         raise ValueError(f"unknown output format {args.format!r}")
-    if args.out != "-" and not Path(args.out).parent.is_dir():
-        raise ValueError(f"--out {args.out!r}: no directory {str(Path(args.out).parent)!r}")
+    if args.out != "-" and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"--out {args.out!r} is a directory or lies in none")
+    if args.plot_dir:
+        plot_dir = Path(args.plot_dir)     # emit_plotdata makes it and its parents
+        if not next(p for p in (plot_dir, *plot_dir.parents) if p.exists()).is_dir():
+            raise ValueError(f"--plot-dir {args.plot_dir!r} is a file or lies under one")
 
     config = StudyConfig(
         mesh_kinds=_parse_kinds(args.mesh), degrees=_parse_degrees(args.k),

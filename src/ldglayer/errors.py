@@ -158,12 +158,11 @@ class ProjectionErrors:
 
 
 def projection_error_suite(mesh: Mesh, k: int, eps: float,
-                           quad: Quadrature | None = None,
                            case: TestCase | None = None) -> ProjectionErrors:
     """Approximation errors of the Gauss-Radau projections for the benchmark
-    layer case (or an explicit case) on the given mesh."""
-    if quad is None:
-        quad = gauss_quadrature(ERROR_QUAD_POINTS)
+    layer case (or an explicit case) on the given mesh, with
+    ERROR_QUAD_POINTS Gauss points per element."""
+    quad = gauss_quadrature(ERROR_QUAD_POINTS)
     if case is None:
         case = boundary_layer_case(eps)
     proj_u = project_gauss_radau(ProjectionSign.MINUS, case.exact_u, mesh, k, quad)
@@ -190,8 +189,7 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
 # ---------------------------------------------------------------------------
 
 def auxiliary_identity_residuals(case: TestCase, mesh: Mesh, k: int,
-                                 solution: LdgSolution | None = None,
-                                 quad: Quadrature | None = None) -> np.ndarray:
+                                 solution: LdgSolution | None = None) -> np.ndarray:
     """Element-wise check of the local relation satisfied by X = P - proj(p),
     Y = Q - proj(q):
 
@@ -217,8 +215,7 @@ def auxiliary_identity_residuals(case: TestCase, mesh: Mesh, k: int,
     elements whose terms consist purely of solver roundoff dust are measured
     against the relation's actual scale.
     """
-    if quad is None:
-        quad = gauss_quadrature(ERROR_QUAD_POINTS)
+    quad = gauss_quadrature(ERROR_QUAD_POINTS)
     if solution is None:
         solution = solve_ldg(case.problem, mesh, k)
     eps = case.eps

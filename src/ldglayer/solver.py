@@ -18,18 +18,20 @@ boundary values chosen to enforce u(0) = u(1) = u'(1) = 0 weakly:
 ``bilinear_form`` tests its fluxes against the jumps of the test functions.
 ``assemble`` writes the same rules out a second time as matrix blocks, and
 ``bilinear_form``, which never looks at the matrix, is the independent
-oracle those blocks are tested against.  Coefficients are sampled only through ``Problem.at`` (all four)
-or ``basis.sample`` (one), and the four terms of the energy norm live in
-``energy_parts``.
+oracle those blocks are tested against.  Coefficients are sampled only
+through ``Problem.at`` (all four, at points), ``basis.sample`` (one, at
+points) or ``basis.node_values`` (one, at the mesh nodes), and the four
+terms of the energy norm live in ``energy_parts``.
 
 The resulting linear system is block tridiagonal with 3(k+1) unknowns per
-element, and the coupling across each interior node has low rank: with r
-the right trace of the element before it and l the left trace of the one
-after, the upper block is X Y^T (rank 2, through P^+ and b_dn U^+ + Q^+)
-and the lower block Z R^T (rank 1, through U^-).  The a P^+ term of the
-flux is carried by X, not Y, so the two upper node unknowns do not both
-contain P^+: that choice leaves far fewer condensed solves above the
-refinement threshold.
+element, and the coupling across each interior node has low rank: the
+upper block is X Y^T (rank 2, through P^+ and b_dn U^+ + Q^+) and the
+lower block Z R^T (rank 1, through U^-).  ``BlockSystem._node_terms`` is
+the one statement of the four factors; the coupling blocks of A, the
+first local solve and every reduction onto the nodes read them from it.
+The a P^+ term of the flux is carried by X, not Y, so the two upper node
+unknowns do not both contain P^+: that choice leaves far fewer condensed
+solves above the refinement threshold.
 
 ``assemble`` writes A in block sparse row (BSR) storage of (k+1) x (k+1)
 field blocks.  Block row (e, field) holds, in ascending column order, a
@@ -38,13 +40,10 @@ P-row and 7 for a Q-row of an interior element.  The pattern thus follows
 from (N, k) alone, and one index is stored per block rather than per
 entry; ``_SLOTS`` states it.
 The blocks are formed _LOCAL_CHUNK elements at a time, each in the slot
-where A keeps it: a coupling block as the one outer product of trace and
-node coefficient it is, each of the 7 nonzero field blocks of element e's
-diagonal block D from quadrature samples and traces that live for the
-chunk only.  A's data is the only store of D, and the node factors are
-stored nowhere: the system keeps the two traces and three nodal
-coefficients they are made of, and each user forms the factors of a chunk
-of nodes from them.
+where A keeps it: a coupling block as the one outer product of node-term
+pieces it is, each of the 7 nonzero field blocks of element e's diagonal
+block D from quadrature samples and traces that live for the chunk only.
+A's data is the only store of D, and the node factors are stored nowhere.
 
 ``solve`` condenses statically: it eliminates each element's unknowns with
 local solves of D, gathered from A's data and solved a chunk of elements at
@@ -175,7 +174,7 @@ def flux_table(problem: Problem, mesh: Mesh, u, p, q) -> tuple[np.ndarray, ...]:
     1..N and v^+ at nodes 0..N-1.
     """
     (u_m, u_p), (p_m, p_p), (q_m, q_p) = u, p, q
-    b_up, b_dn = upwind_split(sample(problem.b, mesh.nodes))
+    b_up, b_dn = upwind_split(node_values(problem.b, mesh))
     zero = np.zeros(1)
     return (np.concatenate([zero, u_m[:-1], zero]),
             np.concatenate([p_p, zero]),
@@ -199,7 +198,8 @@ class BlockSystem:
     0..N-2) the coupling of element e's rows to element e+1's columns is
     X_e Y_e^T and that of element e+1's rows to element e's columns is
     Z_e R_e^T.  Those factors are not stored: only the node data they are
-    made of is kept, and ``_node_factors`` forms them for a range of nodes.
+    made of is kept, and ``_node_terms`` forms their nonzero pieces for a
+    range of nodes.
     """
 
     matrix: sparse.bsr_matrix
@@ -220,33 +220,32 @@ class BlockSystem:
                  for r, c, v in zip(coo.row, coo.col, coo.data)]
         return "\n".join(lines) + "\n"
 
-    def _node_factors(self, lo: int, hi: int, which: str = "xyzr") -> list[np.ndarray]:
-        """The node factors named in ``which`` for nodes lo..hi-1, in that
-        order: X and Y as (hi - lo, 3(k+1), 2), Z and R as (hi - lo,
-        3(k+1), 1), rows in (U, P, Q) field order.
+    def _node_terms(self, lo: int, hi: int) -> dict[str, list[tuple[int, int, np.ndarray]]]:
+        """The nonzero pieces of the node factors X, Y, Z and R at nodes
+        lo..hi-1, by name, each as (field, factor column, values of shape
+        (hi - lo, k+1)): the one statement of the node couplings.
 
         X = [-eps r e_P - a r e_Q, r e_Q] and Y = [l e_P, b_dn l e_U + l e_Q]
         carry the upper coupling, Z = l e_U - b_up l e_Q and R = r e_U the
         lower one, with e_F placing a trace in field F's rows.
         """
         r, l = self.trace_r[lo:hi], self.trace_l[lo:hi]
-        count, m = r.shape
+        return {"x": [(1, 0, -self.eps * r), (2, 0, -self.node_a[lo:hi, None] * r), (2, 1, r)],
+                "y": [(1, 0, l), (0, 1, self.node_b_dn[lo:hi, None] * l), (2, 1, l)],
+                "z": [(0, 0, l), (2, 0, -self.node_b_up[lo:hi, None] * l)],
+                "r": [(0, 0, r)]}
+
+    def _node_factors(self, lo: int, hi: int, which: str = "xyzr") -> list[np.ndarray]:
+        """The ``_node_terms`` named in ``which`` as dense factors, in that
+        order: X and Y as (hi - lo, 3(k+1), 2), Z and R as (hi - lo,
+        3(k+1), 1), rows in (U, P, Q) field order."""
+        terms = self._node_terms(lo, hi)
+        count, m = self.trace_r[lo:hi].shape
         out = []
         for name in which:
             f = np.zeros((count, 3, m, 2 if name in "xy" else 1))
-            if name == "x":
-                f[:, 1, :, 0] = -self.eps * r
-                f[:, 2, :, 0] = -self.node_a[lo:hi, None] * r
-                f[:, 2, :, 1] = r
-            elif name == "y":
-                f[:, 1, :, 0] = l
-                f[:, 0, :, 1] = self.node_b_dn[lo:hi, None] * l
-                f[:, 2, :, 1] = l
-            elif name == "z":
-                f[:, 0, :, 0] = l
-                f[:, 2, :, 0] = -self.node_b_up[lo:hi, None] * l
-            else:
-                f[:, 0, :, 0] = r
+            for field, col, vals in terms[name]:
+                f[:, field, :, col] = vals
             out.append(f.reshape(count, 3 * m, f.shape[-1]))
         return out
 
@@ -300,27 +299,25 @@ def _pack_ends(padded: np.ndarray, ends: list) -> None:
         padded[2 + start:2 + start + kept.size] = padded[13 * e + kept]
 
 
-def assemble(problem: Problem, mesh: Mesh, k: int,
-             quad: Quadrature | None = None) -> BlockSystem:
+def assemble(problem: Problem, mesh: Mesh, k: int) -> BlockSystem:
     """Assemble the LDG system for ``problem`` on ``mesh`` with degree k.
 
-    Volume integrals evaluate the coefficient functions pointwise at the
-    quadrature nodes (default k+3 Gauss points, exact for the polynomial
-    parts); nodal coefficient values a_j, b_j in the fluxes are exact
-    evaluations at the mesh nodes.
+    Volume integrals evaluate the coefficient functions pointwise at k+3
+    Gauss points per element, exact for the polynomial parts; nodal
+    coefficient values a_j, b_j in the fluxes are the ``node_values`` of
+    a and b.
     """
     if k < 0:
         raise ValueError(f"degree k must be >= 0, got {k}")
-    if quad is None:
-        quad = gauss_quadrature(k + 3)
+    quad = gauss_quadrature(k + 3)
     n = mesh.n_elements
     m = k + 1
     eps = problem.eps
     h = mesh.widths
 
     left, right = mesh_traces(mesh, k)                           # (n, m)
-    an = sample(problem.a, mesh.nodes)
-    b_up, b_dn = upwind_split(sample(problem.b, mesh.nodes))
+    an = node_values(problem.a, mesh)
+    b_up, b_dn = upwind_split(node_values(problem.b, mesh))
 
     dim = 3 * m * n
     ends = _end_elements(n)
@@ -365,13 +362,13 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
     x = quad_points(mesh, quad)
     d_ref = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
     eye = np.eye(m)
-    r, l = system.trace_r, system.trace_l
 
     # _LOCAL_CHUNK elements at a time: D's 7 nonzero field blocks (element e
     # tested against its own unknowns; (U, Q) and (P, U) are zero) are formed
     # in their slots from pieces that live for the chunk only, and each
     # coupling block as the one outer product it is.
     for lo, hi in _chunks(n):
+        n0, n1 = max(lo - 1, 0), min(hi, n - 1)      # Z R^T from node n0, X Y^T to n1
         blk = padded[13 * lo:13 * hi].reshape(hi - lo, 13, m, m)
         blk[:, _SLOT[0, 0, 1]] = blk[:, _SLOT[1, 0, 2]] = eye
         uu, pp, qu, qp, qq = (blk[:, _SLOT[blk_id]] for blk_id in
@@ -390,29 +387,27 @@ def assemble(problem: Problem, mesh: Mesh, k: int,
         if hi == n:
             qq[-1] += ss[-1]                       # Qhat_N = Q_N^-
             qp[-1] -= an[-1] * ss[-1]              # Ptilde_N = P_N^-
-        uu[:min(hi, n - 1) - lo] -= ss[:min(hi, n - 1) - lo]      # Uhat_N = 0
+        uu[:n1 - lo] -= ss[:n1 - lo]               # Uhat_N = 0
         volume(wq[None, :] * bq, dp_tab, qu)
         np.negative(qu, out=qu)
         qu += volume((wq[None, :] * (cq - bpq)) * (0.5 * h[lo:hi, None]), p_tab)
         qu += b_up[lo + 1:hi + 1, None, None] * ss
         qu -= b_dn[lo:hi, None, None] * lxl
-        # Each block of X Y^T and Z R^T (``BlockSystem._node_factors``) has
-        # one nonzero term: element e's X Y^T blocks are those of node
-        # index e (e < N-1), its Z R^T blocks those of index e-1 (e > 0).
-        # Each is formed as a sum from +0, as a matrix product forms it, so
-        # a -0 term is stored as +0.
-        up, dn = slice(lo, min(hi, n - 1)), slice(max(lo, 1) - 1, hi - 1)
-        ups, dns = slice(None, up.stop - lo), slice(dn.start + 1 - lo, None)
-        for rows, blk_id, col, row in (
-                (ups, (1, 1, 1), -eps * r[up], l[up]),
-                (ups, (2, 1, 0), r[up], system.node_b_dn[up, None] * l[up]),
-                (ups, (2, 1, 1), -system.node_a[up, None] * r[up], l[up]),
-                (ups, (2, 1, 2), r[up], l[up]),
-                (dns, (0, -1, 0), l[dn], r[dn]),
-                (dns, (2, -1, 0), -system.node_b_up[dn, None] * l[dn], r[dn])):
-            out = blk[rows, _SLOT[blk_id]]
-            np.multiply(col[:, :, None], row[:, None, :], out=out)
-            out += 0.0
+        # Each block of X Y^T and Z R^T has one nonzero term, the outer
+        # product of the X (or Z) piece of ``BlockSystem._node_terms`` with
+        # the Y (or R) piece in the same factor column: element e's X Y^T
+        # blocks are those of node index e (e < N-1), its Z R^T blocks those
+        # of index e-1 (e > 0).  Each is formed as a sum from +0, as a matrix
+        # product forms it, so a -0 term is stored as +0.
+        terms = system._node_terms(n0, n1)
+        for x_name, y_name, shift, rows, nodes in (
+                ("x", "y", 1, slice(None, n1 - lo), slice(lo - n0, None)),
+                ("z", "r", -1, slice(max(lo, 1) - lo, None), slice(None, hi - 1 - n0))):
+            for row_field, column, xv in terms[x_name]:
+                for col_field, _, yv in (t for t in terms[y_name] if t[1] == column):
+                    out = blk[rows, _SLOT[row_field, shift, col_field]]
+                    np.multiply(xv[nodes, :, None], yv[nodes, None, :], out=out)
+                    out += 0.0
     # The first and last elements store fewer blocks: pack each into the
     # slots it keeps, which A's data, two blocks into ``padded``, holds
     # from where its 13 were formed on.
@@ -508,8 +503,10 @@ class _Condensed:
     gathered into one reused buffer and solved by one batched LAPACK call,
     which solves every block on its own, so the chunking leaves the results
     bit-identical to a single batch.  The node factors are formed from the
-    system's node data a chunk at a time too: X and Z for the first local
-    solve, Y and R for each reduction onto the nodes.
+    system's node data a chunk at a time too: the X and Z pieces of
+    ``BlockSystem._node_terms`` go straight into the first local solve's
+    right-hand sides, and dense Y and R (``_node_factors``) into each
+    reduction onto the nodes.
     """
 
     def __init__(self, system: BlockSystem) -> None:
@@ -524,15 +521,17 @@ class _Condensed:
         # X of node e sits in element e, Z in element e+1.
         self.dxz = np.empty((n, width, 3))      # D^-1 [X Z]
         x = np.empty((n, width))
-        rhs = system.rhs.reshape(n, width)
+        rhs = system.rhs.reshape(n, 3, self.m)
         for lo, hi, d in self._local_blocks():
-            n0 = max(lo - 1, 0)                # X of nodes lo.., Z of nodes lo-1..
-            fx, fz = system._node_factors(n0, min(hi, n - 1), "xz")
-            local = np.zeros((hi - lo, width, 4))
-            local[:min(hi, n - 1) - lo, :, :2] = fx[lo - n0:]
-            local[max(lo, 1) - lo:, :, 2:3] = fz[:hi - 1 - n0]
-            local[:, :, 3] = rhs[lo:hi]
-            sol = _solve_local(d, local)
+            n0, n1 = max(lo - 1, 0), min(hi, n - 1)    # X of nodes lo.., Z of nodes lo-1..
+            terms = system._node_terms(n0, n1)
+            local = np.zeros((hi - lo, 3, self.m, 4))
+            for field, col, vals in terms["x"]:
+                local[:n1 - lo, field, :, col] = vals[lo - n0:]
+            for field, _, vals in terms["z"]:
+                local[max(lo, 1) - lo:, field, :, 2] = vals[:hi - 1 - n0]
+            local[..., 3] = rhs[lo:hi]
+            sol = _solve_local(d, local.reshape(hi - lo, width, 4))
             self.dxz[lo:hi] = sol[:, :, :3]
             x[lo:hi] = sol[:, :, 3]
         del local, sol, d         # d holds the gather buffer
@@ -751,10 +750,9 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
         info=info)
 
 
-def solve_ldg(problem: Problem, mesh: Mesh, k: int,
-              quad: Quadrature | None = None) -> LdgSolution:
+def solve_ldg(problem: Problem, mesh: Mesh, k: int) -> LdgSolution:
     """Assemble and solve in one call."""
-    return solve(assemble(problem, mesh, k, quad))
+    return solve(assemble(problem, mesh, k))
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +792,7 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
     (u_vals, u_tr), (p_vals, p_tr), (q_vals, q_tr) = (
         _on_mesh(part, mesh, quad) for part in w)
     uhat, phat, qhat, ptilde, bu = flux_table(problem, mesh, u_tr, p_tr, q_tr)
-    an = sample(problem.a, mesh.nodes)
+    an = node_values(problem.a, mesh)
     v_vals, r_vals, s_vals = (part.values_at(quad) for part in chi)
     dv, dr, ds = (part.deriv_values_at(quad) for part in chi)
 
@@ -824,20 +822,19 @@ def energy_parts(problem: Problem, mesh: Mesh, hw: np.ndarray, x: np.ndarray,
     """
     aq = sample(problem.a, x)
     c_half_bp = sample(problem.c, x) - 0.5 * sample(problem.bprime, x)
-    bn = sample(problem.b, mesh.nodes)
+    bn = node_values(problem.b, mesh)
     return (0.5 * problem.eps * float((jumps_p**2).sum()),
             float((hw * aq * p_vals**2).sum()),
             float((hw * c_half_bp * u_vals**2).sum()),
             0.5 * float((np.abs(bn) * jumps_u**2).sum()))
 
 
-def energy_norm(w: LdgSolution, problem: Problem,
-                quad: Quadrature | None = None) -> float:
+def energy_norm(w: LdgSolution, problem: Problem) -> float:
     """Scheme-induced energy norm of a discrete triple: the root of the sum
-    of ``energy_parts``, jumps running over all nodes j = 0..N with the
-    boundary convention of ``PiecewisePoly.jumps``."""
-    if quad is None:
-        quad = gauss_quadrature(max(w.U.k + 3, 10))
+    of ``energy_parts`` over max(k+3, 10) Gauss points per element, jumps
+    running over all nodes j = 0..N with the boundary convention of
+    ``PiecewisePoly.jumps``."""
+    quad = gauss_quadrature(max(w.U.k + 3, 10))
     mesh = w.U.mesh
     parts = energy_parts(problem, mesh, element_weights(mesh, quad),
                          quad_points(mesh, quad), w.P.values_at(quad),

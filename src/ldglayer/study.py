@@ -57,6 +57,10 @@ class StudyConfig:
         for eps in self.eps_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"every eps must lie in (0, 1), got {eps}")
+        for name, values in (("mesh kinds", self.mesh_kinds), ("degrees", self.degrees),
+                             ("eps values", self.eps_list)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {values}")
         if isinstance(self.sigma_rule, str):
             if self.sigma_rule != "k+1.5":
                 raise ValueError("sigma_rule must be 'k+1.5' or a number")

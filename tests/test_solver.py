@@ -637,8 +637,8 @@ def test_trace_band_matches_a_dense_oracle(n, k):
     ab[kl + ku + i - j, j], S has nothing outside kl = 3, ku = 4, the fill
     rows are zero, and growth_factor is max|U| / max|S| of a dense LU."""
     kind = MeshKind.BAKHVALOV if n >= 4 else None      # Bakhvalov needs N >= 4
-    problem, mesh, quad = _bilinear_setup("varying", kind, n, k)
-    system = assemble(problem, mesh, k, quad)
+    problem, mesh, _ = _bilinear_setup("varying", kind, n, k)
+    system = assemble(problem, mesh, k)
     s = _dense_trace_system(system)
     cond = solver._Condensed(system)
     ab = solver._trace_band(cond._node_traces(cond.dxz)[0])
@@ -726,8 +726,8 @@ def test_block_form_matches_matrix(problem_name, kind, n, k):
     """The diagonal blocks the condensed solve gathers from A's data and the
     node products X Y^T, Z R^T of the factors that the node data builds over
     all nodes at once rebuild the assembled matrix bit for bit."""
-    problem, mesh, quad = _bilinear_setup(problem_name, kind, n, k)
-    system = assemble(problem, mesh, k, quad)
+    problem, mesh, _ = _bilinear_setup(problem_name, kind, n, k)
+    system = assemble(problem, mesh, k)
     width = 3 * (k + 1)
     rebuilt = np.zeros((n * width, n * width))
     for lo, hi, d in solver._Condensed(system)._local_blocks():
@@ -821,8 +821,8 @@ def test_condensed_solve_matches_direct_reference(n, kind, k):
     """Without refinement, the condensed solve agrees with a sparse direct
     solve of the assembled matrix; N = 1 and 2 give an empty and a one-node
     trace system."""
-    problem, mesh, quad = _bilinear_setup("varying", kind, n, k)
-    system = assemble(problem, mesh, k, quad)
+    problem, mesh, _ = _bilinear_setup("varying", kind, n, k)
+    system = assemble(problem, mesh, k)
     w = solve(system, max_refine=0)
     x = np.stack([w.U.coeffs, w.P.coeffs, w.Q.coeffs], axis=1).ravel()
     reference = spsolve(system.matrix.tocsc(), system.rhs)
@@ -838,7 +838,7 @@ def test_bilinear_form_reproduces_discrete_equations(problem_name, kind, n, k):
     where every column is a first or last element column, each entry
     A[i, j] is also checked against B(e_j; e_i)."""
     problem, mesh, quad_bf = _bilinear_setup(problem_name, kind, n, k)
-    system = assemble(problem, mesh, k, quad_bf)
+    system = assemble(problem, mesh, k)
     w = solve(system)
     triple = (w.U, w.P, w.Q)
     m = k + 1
@@ -967,7 +967,7 @@ def test_row_is_the_same_with_cold_and_warm_caches(row, monkeypatch):
     element runs fall in different chunks."""
     from ldglayer import basis, cases
     monkeypatch.setattr(solver, "_LOCAL_CHUNK", 7)
-    for cached in (cases.boundary_layer_case, basis._gauss_rule):
+    for cached in (cases.boundary_layer_case, basis.gauss_quadrature):
         cached.cache_clear()
     cold = _row_bytes(*_study_row(*row))
     warm = _row_bytes(*_study_row(*row))

@@ -32,6 +32,10 @@ def test_config_validation():
     for sigma in (-1.0, 0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             StudyConfig(sigma_rule=sigma)
+    for repeated in ({"mesh_kinds": (MeshKind.SHISHKIN,) * 2}, {"degrees": (1, 2, 1)},
+                     {"eps_list": (1e-4, 1e-8, 1e-4)}):
+        with pytest.raises(ValueError):
+            StudyConfig(**repeated)
     assert StudyConfig(sigma_rule=3.0).sigma_for(1) == 3.0
     assert StudyConfig().sigma_for(2) == 3.5
 
@@ -255,6 +259,14 @@ def test_cli_bad_input_exit_code(tmp_path, monkeypatch):
         assert cli_main(["--sigma", sigma]) == 2
     # an --out in a missing directory is refused before the rows, not after
     assert cli_main(["--mesh", "s", "--k", "1", "--out", str(tmp_path / "no_dir" / "t.csv")]) == 2
+    # so are an --out naming a directory, a --plot-dir naming a file or
+    # lying under one, and a repeated mesh kind, degree or eps
+    a_file = tmp_path / "file.txt"
+    a_file.write_text("")
+    for argv in (["--out", str(tmp_path)], ["--plot-dir", str(a_file)],
+                 ["--plot-dir", str(a_file / "plots")], ["--mesh", "s,s", "--k", "0,0"],
+                 ["--mesh", "s,b,s"], ["--k", "1,1"], ["--eps", "1e-4,1e-04"]):
+        assert cli_main(["--mesh", "s", "--k", "1", *argv]) == 2
     mesh_args = ["--mesh", "b", "--n", "8", "--eps", "1e-4"]
     for sigma in ("nan", "inf"):
         assert cli_main(["mesh-dump", *mesh_args, "--sigma", sigma]) == 2
