@@ -135,7 +135,6 @@ class Mesh:
     widths: np.ndarray
     tau: float
     clamped: bool
-    spec: MeshSpec | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -215,8 +214,7 @@ def build_mesh(spec: MeshSpec) -> Mesh:
         raise ValueError(
             f"mesh degenerated: coincident nodes at N={N}, eps={spec.eps}"
         )
-    return Mesh(nodes=nodes, offsets=offsets, widths=widths, tau=tau,
-                clamped=clamped, spec=spec)
+    return Mesh(nodes=nodes, offsets=offsets, widths=widths, tau=tau, clamped=clamped)
 
 
 def mesh_from_nodes(nodes) -> Mesh:
@@ -237,7 +235,7 @@ def mesh_from_nodes(nodes) -> Mesh:
     offsets = 1.0 - nodes
     offsets[-1] = 0.0
     return Mesh(nodes=nodes, offsets=offsets, widths=widths,
-                tau=float(1.0 - nodes[nodes.size // 2]), clamped=False, spec=None)
+                tau=float(1.0 - nodes[nodes.size // 2]), clamped=False)
 
 
 def uniform_mesh(n: int) -> Mesh:

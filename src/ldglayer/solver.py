@@ -39,7 +39,7 @@ fixed list of blocks of elements e-1, e and e+1: 3 for a U-row, 3 for a
 P-row and 7 for a Q-row of an interior element.  The pattern thus follows
 from (N, k) alone, and one index is stored per block rather than per
 entry; ``_SLOTS`` states it.
-The blocks are formed _LOCAL_CHUNK elements at a time, each in the slot
+The blocks are formed _CHUNK elements at a time, each in the slot
 where A keeps it: a coupling block as the one outer product of node-term
 pieces it is, each of the 7 nonzero field blocks of element e's diagonal
 block D from quadrature samples and traces that live for the chunk only.
@@ -54,12 +54,11 @@ It then runs extended-precision iterative refinement against the assembled
 A, which stops once the residual meets the advertised tolerance or reaches
 the float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
 float64-stored solution can go.  Every residual and the floor are
-formed by ``_matvec``, which runs scipy's compiled BSR product kernel
-(``bsr_matvec``) a chunk of block rows at a time into one reused buffer.
-It reads A's float64 blocks where they are, converts a chunk of |A| or of
-long-double blocks and the chunk's window of x into reused buffers, and
-takes the residual's norm before it is rounded, so neither A nor x is
-copied whole and no long-double vector is held whole.
+formed by ``_matvec`` in 512-element runs through scipy's public BSR
+product.  It reads A's float64 blocks where they are, converts a run of
+|A| or of long-double blocks and the run's window of x into reused
+buffers, and takes the residual's norm before it is rounded, so neither
+A nor x is copied whole and no long-double vector is held whole.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse._sparsetools import bsr_matvec
 
 from .basis import (PiecewisePoly, Quadrature, _read_only, element_moments,
                     element_values, element_weights, gauss_quadrature, mesh_traces,
@@ -79,8 +77,7 @@ from .basis import (PiecewisePoly, Quadrature, _read_only, element_moments,
 from .meshes import Mesh
 
 RESIDUAL_RTOL = 1e-10
-_MATVEC_CHUNK = 1 << 10     # block rows of A converted at a time by _matvec
-_LOCAL_CHUNK = 1 << 9       # elements whose diagonal blocks _Condensed solves at a time
+_CHUNK = 1 << 9             # elements per run of every chunked pass (``_chunks``)
 _KL, _KU = 3, 4             # lower and upper bandwidths of the trace system S
 _INT32_MAX = np.iinfo(np.int32).max
 _VALIDATION_GRID = 2001
@@ -251,9 +248,9 @@ class BlockSystem:
 
 
 def _chunks(n: int):
-    """Yield (lo, hi) for runs of _LOCAL_CHUNK indices covering 0..n-1."""
-    for lo in range(0, n, _LOCAL_CHUNK):
-        yield lo, min(lo + _LOCAL_CHUNK, n)
+    """Yield (lo, hi) for runs of _CHUNK indices covering 0..n-1."""
+    for lo in range(0, n, _CHUNK):
+        yield lo, min(lo + _CHUNK, n)
 
 
 # Block row (e, field) holds these (k+1) x (k+1) blocks in ascending column
@@ -363,7 +360,7 @@ def assemble(problem: Problem, mesh: Mesh, k: int) -> BlockSystem:
     d_ref = np.einsum("q,lq,mq->lm", wq, dp_tab, p_tab)[None, :, :]
     eye = np.eye(m)
 
-    # _LOCAL_CHUNK elements at a time: D's 7 nonzero field blocks (element e
+    # _CHUNK elements at a time: D's 7 nonzero field blocks (element e
     # tested against its own unknowns; (U, Q) and (P, U) are zero) are formed
     # in their slots from pieces that live for the chunk only, and each
     # coupling block as the one outer product it is.
@@ -424,54 +421,50 @@ def _matvec(a: sparse.bsr_matrix, x: np.ndarray, b: np.ndarray | None = None, *,
     A must have ``assemble``'s block pattern: block row (e, field) reads
     only the block columns of elements e-1..e+1, and a block outside them
     raises ValueError before the kernel could read past x's window.
-    scipy's compiled BSR
-    product kernel, the one ``a @ x`` runs, forms y one chunk of
-    _MATVEC_CHUNK block rows, of elements e0..e1-1, at a time, into one
-    reused buffer.  It reads the x window of block columns 3(e0-1) ..
-    3(e1+1), converted to dtype (or to |x|) in one reused buffer when x is
-    not in dtype already, and A's float64 blocks where they are; a chunk of
-    |A| or of A in another dtype is converted into one reused buffer.
-    Every row therefore sums the same products in the same order, so y is
-    bit-identical to ``b - a.astype(dtype) @ x``, and the norm is taken in
-    dtype before y is rounded.  A and x are never copied whole.
+    y is formed in 512-element runs (``_chunks``) through scipy's public
+    BSR product: run lo..hi-1 multiplies a view of block rows 3lo..3hi-1
+    by its x window, the block columns of elements lo-1..hi.  That
+    product runs the kernel ``a @ x`` runs, so every row sums the
+    same products in the same order and y is bit-identical to
+    ``b - a.astype(dtype) @ x``.  The x window is converted to dtype (or to
+    |x|) in one reused buffer when x is not in dtype already, A's float64
+    blocks are read where they are, and a run of |A| or of A in another
+    dtype is converted into one reused buffer.  The norm is taken in dtype
+    before y is rounded, and A and x are never copied whole.
     """
     r, c = a.blocksize
-    n_brow, n_bcol = a.shape[0] // r, a.shape[1] // c
-    starts = range(0, n_brow, _MATVEC_CHUNK)
-    bounds = a.indptr[[*starts, n_brow]].tolist()
+    n = a.shape[0] // (3 * r)                        # elements
+    runs = list(_chunks(n))
+    bounds = a.indptr[[3 * lo for lo, _ in runs] + [3 * n]].tolist()
     if absolute or a.data.dtype != dtype:
-        vals = np.empty((max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0), r, c),
-                        dtype=dtype)
-    if absolute or x.dtype != dtype:                 # a window spans <= chunk + 10 block columns
-        x_buf = np.empty(min(_MATVEC_CHUNK + 10, n_bcol) * c, dtype=dtype)
-    y_buf = np.empty(min(_MATVEC_CHUNK, n_brow) * r, dtype=dtype)
+        vals = np.empty((np.diff(bounds).max(), r, c), dtype=dtype)
+    if absolute or x.dtype != dtype:
+        x_buf = np.empty(3 * min(_CHUNK + 2, n) * c, dtype=dtype)
     norm = dtype(0.0)
-    for r0, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
-        r1 = min(r0 + _MATVEC_CHUNK, n_brow)
-        c0, c1 = max(3 * (r0 // 3 - 1), 0), min(3 * (-(-r1 // 3) + 1), n_bcol)
-        xs, chunk = x[c0 * c:c1 * c], a.data[lo:hi]
+    for (lo, hi), b0, b1 in zip(runs, bounds[:-1], bounds[1:]):
+        c0, c1 = 3 * max(lo - 1, 0), 3 * min(hi + 1, n)    # of elements lo-1..hi
+        xs, chunk = x[c0 * c:c1 * c], a.data[b0:b1]
         if absolute:
             xs = np.abs(xs, out=x_buf[:xs.size])
-            chunk = np.abs(chunk, out=vals[:hi - lo])
+            chunk = np.abs(chunk, out=vals[:b1 - b0])
         else:
             if x.dtype != dtype:
                 x_buf[:xs.size] = xs
                 xs = x_buf[:xs.size]
             if chunk.dtype != dtype:
-                vals[:hi - lo] = chunk
-                chunk = vals[:hi - lo]
-        cols = a.indices[lo:hi] - c0
-        if hi > lo and (cols.min() < 0 or cols.max() >= c1 - c0):
+                vals[:b1 - b0] = chunk
+                chunk = vals[:b1 - b0]
+        cols = a.indices[b0:b1] - c0
+        if b1 > b0 and (cols.min() < 0 or cols.max() >= c1 - c0):
             raise ValueError("A has a block outside assemble's block pattern")
-        y = y_buf[:(r1 - r0) * r]
-        y.fill(0.0)
-        bsr_matvec(r1 - r0, c1 - c0, r, c, a.indptr[r0:r1 + 1] - lo, cols,
-                   chunk.reshape(-1), xs, y)
+        y = sparse.bsr_matrix((chunk, cols, a.indptr[3 * lo:3 * hi + 1] - b0),
+                              shape=(3 * (hi - lo) * r, xs.size), copy=False) @ xs
         if b is not None:
-            np.subtract(b[r0 * r:r1 * r], y, out=y)
+            np.subtract(b[3 * lo * r:3 * hi * r], y, out=y)
         if out is not None:
-            out[r0 * r:r1 * r] = y
+            out[3 * lo * r:3 * hi * r] = y
         norm = np.maximum(norm, np.abs(y, out=y).max())
+        del y                                        # before the next run's product
     return float(norm)
 
 
@@ -499,7 +492,7 @@ class _Condensed:
     band factor are all it holds beyond the system.
 
     The diagonal blocks D are read from A's BSR data, where ``assemble``
-    wrote them, _LOCAL_CHUNK elements at a time: each chunk's blocks are
+    wrote them, _CHUNK elements at a time: each chunk's blocks are
     gathered into one reused buffer and solved by one batched LAPACK call,
     which solves every block on its own, so the chunking leaves the results
     bit-identical to a single batch.  The node factors are formed from the
@@ -547,13 +540,13 @@ class _Condensed:
         self.x = self._back_substitute(x, t_x)
 
     def _local_blocks(self):
-        """Yield (lo, hi, D) for each run of _LOCAL_CHUNK elements lo..hi-1,
+        """Yield (lo, hi, D) for each run of _CHUNK elements lo..hi-1,
         D their diagonal blocks gathered from A's data into one buffer
         reused for every run, as (hi - lo, 3(k+1), 3(k+1))."""
         n, m = self.n, self.m
         data, ends = self.system.matrix.data, _end_elements(n)
         rows, cols = _FIELDS[_D_SLOTS, 0], _FIELDS[_D_SLOTS, 2]
-        buf = np.zeros((min(n, _LOCAL_CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
+        buf = np.zeros((min(n, _CHUNK), 3, m, 3, m))  # (U, Q), (P, U) stay 0
         for lo, hi in _chunks(n):
             d = buf[:hi - lo]
             a, b = max(lo, 1), min(hi, n - 1)          # the chunk's interior elements

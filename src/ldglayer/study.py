@@ -57,8 +57,9 @@ class StudyConfig:
         for eps in self.eps_list:
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"every eps must lie in (0, 1), got {eps}")
+        # eps is labelled f"{eps:g}" in the table and the plot file names
         for name, values in (("mesh kinds", self.mesh_kinds), ("degrees", self.degrees),
-                             ("eps values", self.eps_list)):
+                             ("eps labels", tuple(f"{eps:g}" for eps in self.eps_list))):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {values}")
         if isinstance(self.sigma_rule, str):

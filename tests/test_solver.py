@@ -344,13 +344,14 @@ def _product(a, x, dtype=np.float64, **kwargs):
 
 
 def test_chunked_matvec_is_bit_identical(monkeypatch):
-    """The extended residual and the rounding floor read A a few block rows
-    at a time, yet add the same products in the same order as a full
-    product with a converted copy of A, and take the norm of the result."""
+    """The extended residual and the rounding floor read A one element's
+    block rows at a time, yet add the same products in the same order as a
+    full product with a converted copy of A, and take the norm of the
+    result."""
     system = assemble(_varying_problem(0.05), uniform_mesh(6), 3)
     a = system.matrix
-    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 5)
-    assert a.shape[0] // a.blocksize[0] > 3 * solver._MATVEC_CHUNK
+    monkeypatch.setattr(solver, "_CHUNK", 1)
+    assert system.mesh.n_elements > 3 * solver._CHUNK
     rng = np.random.default_rng(7)
     x = rng.standard_normal(a.shape[1])
     x_ld = x.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
@@ -364,15 +365,15 @@ def test_chunked_matvec_is_bit_identical(monkeypatch):
                                             * float(np.finfo(float).eps))
 
 
-@pytest.mark.parametrize("chunk", [5, 7, 1 << 10])
+@pytest.mark.parametrize("chunk", [1, 2, 1 << 9])
 def test_streamed_residual_matches_the_whole_array_form(chunk, monkeypatch):
-    """b - A x accumulated in long double a chunk of block rows at a time is
+    """b - A x accumulated in long double a run of elements at a time is
     written as the float64 rounding of the whole-array b - a_ld @ x_ld, and
     its norm is that array's, taken before rounding; the float64 residual's
     norm is that of b - A @ x."""
     system = assemble(_varying_problem(0.05), uniform_mesh(9), 2)
     a = system.matrix
-    monkeypatch.setattr(solver, "_MATVEC_CHUNK", chunk)
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(a.shape[1])
     b = a @ x + 1e-12 * rng.standard_normal(a.shape[0])     # a small residual
@@ -387,11 +388,11 @@ def test_streamed_residual_matches_the_whole_array_form(chunk, monkeypatch):
 def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
     """_matvec and _rounding_floor equal scipy's product bit for bit with
     int64 index arrays (what ``assemble`` writes above 2**31 entries), with
-    |A| |x| for a long-double x, and with a last chunk shorter than the
-    rest."""
-    a = assemble(_varying_problem(0.05), uniform_mesh(6), 3).matrix
-    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
-    assert (a.shape[0] // a.blocksize[0]) % solver._MATVEC_CHUNK != 0
+    |A| |x| for a long-double x, and with a last run of elements shorter
+    than the rest."""
+    a = assemble(_varying_problem(0.05), uniform_mesh(7), 3).matrix
+    monkeypatch.setattr(solver, "_CHUNK", 2)
+    assert 7 % solver._CHUNK != 0
     wide = a.copy()
     # scipy stores small index arrays as int32 on construction, so widen after.
     wide.indptr = wide.indptr.astype(np.int64)
@@ -413,29 +414,32 @@ def test_matvec_matches_the_public_product_on_every_path(monkeypatch):
 
 def test_matvec_refuses_a_block_outside_the_pattern(monkeypatch):
     """A block beyond the columns of a row's own and neighbouring elements
-    would send the kernel past the x window of its chunk; _matvec raises
+    would send the kernel past the x window of its run; _matvec raises
     instead."""
-    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 3)
+    monkeypatch.setattr(solver, "_CHUNK", 1)
     a = assemble(_varying_problem(0.05), uniform_mesh(6), 1).matrix.copy()
     a.indices[0] = a.shape[1] // a.blocksize[1] - 1        # element 5's Q column
     with pytest.raises(ValueError, match="block pattern"):
         solver._matvec(a, np.ones(a.shape[1]))
 
 
-def test_matvec_memory_is_one_chunk_of_buffers():
-    """Every chunk is formed in the same buffers, so the traced peak of
-    _matvec stays within one chunk's blocks of A in the accumulation dtype,
+def test_matvec_memory_is_one_chunk_of_buffers(monkeypatch):
+    """Every run of C = _CHUNK elements is formed in the same buffers, and
+    its y is released before the next run's product, so the traced peak of
+    _matvec stays within one run's blocks of A in the accumulation dtype,
     its x window, its rows of y and the cast of b's rows that subtracting
-    them takes (at most _MATVEC_CHUNK + 10 block columns or rows each) and
-    64 KiB of slack (index offsets of one chunk, loop bookkeeping).  Nothing of x's or y's size is allocated: the floor
-    and the float64 residual return their norm only, the long-double
-    residual is rounded into the caller's array, and the float64 residual
-    reads A's blocks where they are, with no buffer for them at all."""
+    them takes (at most 3(C + 2) block columns or rows each) and 64 KiB of
+    slack (index offsets of one run, loop bookkeeping).  Nothing of x's or
+    y's size is allocated: the floor and the float64 residual return their
+    norm only, the long-double residual is rounded into the caller's array,
+    and the float64 residual reads A's blocks where they are, with no
+    buffer for them at all."""
+    monkeypatch.setattr(solver, "_CHUNK", 256)
     a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
     r, c = a.blocksize
     n_brow = a.shape[0] // r
-    assert n_brow > 4 * solver._MATVEC_CHUNK
-    bounds = a.indptr[[*range(0, n_brow, solver._MATVEC_CHUNK), n_brow]]
+    assert n_brow > 4 * 3 * solver._CHUNK
+    bounds = a.indptr[[*range(0, n_brow, 3 * solver._CHUNK), n_brow]]
     chunk_nnz = int(np.diff(bounds).max()) * r * c
     rng = np.random.default_rng(3)
     x = rng.standard_normal(a.shape[1])
@@ -450,7 +454,7 @@ def test_matvec_memory_is_one_chunk_of_buffers():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        window = 3 * (solver._MATVEC_CHUNK + 10) * c
+        window = 3 * 3 * (solver._CHUNK + 2) * c
         bound = (buffered * chunk_nnz + window) * np.dtype(dtype).itemsize + (64 << 10)
         assert peak <= bound, (dtype, kwargs.keys(), peak / x.nbytes)
 
@@ -458,7 +462,7 @@ def test_matvec_memory_is_one_chunk_of_buffers():
 def test_solve_memory_is_bounded_by_the_rhs():
     """solve forms each refined float64 iterate in the buffer of its
     correction, which the local solves overwrite chunk by chunk, and rounds
-    each long-double residual, formed a chunk of block rows at a time, into
+    each long-double residual, formed a run of elements at a time, into
     the next correction, so it holds no long-double vector whole; it
     gathers the local blocks and forms the node factors one chunk at a
     time, frees the trace matrix once it is factored, and holds the banded
@@ -481,8 +485,8 @@ def test_solve_memory_is_bounded_by_the_rhs():
 
 def test_assemble_and_solve_memory_is_bounded_by_the_rhs():
     """assemble forms D's blocks a chunk of elements at a time and keeps
-    only compact node data, and solve forms its residuals a chunk of block
-    rows at a time and frees the condensed factors before the final floor,
+    only compact node data, and solve forms its residuals a run of
+    elements at a time and frees the condensed factors before the final floor,
     so the traced peak of assemble-then-solve at Bakhvalov N = 16384 stays
     within 25.4x the bytes of the rhs at k = 1 and 31.1x at k = 3 (24.2x
     and 29.6x measured; k = 3 takes a refinement step)."""
@@ -502,10 +506,10 @@ def test_assemble_and_solve_memory_is_bounded_by_the_rhs():
 
 @pytest.mark.parametrize("k", range(4))
 def test_chunk_sizes_leave_assembly_and_solve_bit_identical(k, monkeypatch):
-    """Assembly formed five elements at a time, and residuals formed seven
-    block rows at a time, give the bits of A, the rhs, the node data, the
-    solution and its diagnostics that the default chunks give: every
-    chunked step works element by element or row by row in one order.
+    """Assembly, local solves and residuals run five elements at a time
+    give the bits of A, the rhs, the node data, the solution and its
+    diagnostics that the default runs give: every chunked step works
+    element by element or row by row in one order.
     Shishkin eps = 1e-12, N = 64 refines at k = 0 and 2."""
     case = boundary_layer_case(1e-12)
     mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 64, 1e-12, 3.5))
@@ -519,8 +523,7 @@ def test_chunk_sizes_leave_assembly_and_solve_bit_identical(k, monkeypatch):
                                            w.P.coeffs, w.Q.coeffs)], w.info)
 
     default = run()
-    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 5)
-    monkeypatch.setattr(solver, "_MATVEC_CHUNK", 7)
+    monkeypatch.setattr(solver, "_CHUNK", 5)
     chunked = run()
     assert chunked == default
     assert (chunked[1].refine_steps >= 1) == (k in (0, 2))
@@ -753,7 +756,7 @@ def test_local_blocks_are_the_diagonal_blocks_of_a(n, k, monkeypatch):
     a, m = system.matrix.toarray(), k + 1
     width = 3 * m
     for chunk in (1, 3):
-        monkeypatch.setattr(solver, "_LOCAL_CHUNK", chunk)
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
         seen = []
         for lo, hi, d in solver._Condensed(system)._local_blocks():
             assert d.shape == (hi - lo, width, width) and hi - lo <= chunk
@@ -807,7 +810,7 @@ def test_chunked_local_solves_are_bit_identical(monkeypatch):
     system = assemble(case.problem, mesh, 2)
     whole = solve(system)
     assert whole.info.refine_steps >= 1
-    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 5)
+    monkeypatch.setattr(solver, "_CHUNK", 5)
     chunked = solve(system)
     for part in ("U", "P", "Q"):
         assert np.array_equal(getattr(chunked, part).coeffs, getattr(whole, part).coeffs)
@@ -966,7 +969,7 @@ def test_row_is_the_same_with_cold_and_warm_caches(row, monkeypatch):
     SolveInfo and ErrorRecord; chunked so that the block pattern's three
     element runs fall in different chunks."""
     from ldglayer import basis, cases
-    monkeypatch.setattr(solver, "_LOCAL_CHUNK", 7)
+    monkeypatch.setattr(solver, "_CHUNK", 7)
     for cached in (cases.boundary_layer_case, basis.gauss_quadrature):
         cached.cache_clear()
     cold = _row_bytes(*_study_row(*row))
