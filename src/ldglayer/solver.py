@@ -58,7 +58,11 @@ formed by ``_matvec`` in 512-element runs through scipy's public BSR
 product.  It reads A's float64 blocks where they are, converts a run of
 |A| or of long-double blocks and the run's window of x into reused
 buffers, and takes the residual's norm before it is rounded, so neither
-A nor x is copied whole and no long-double vector is held whole.
+A nor x is copied whole and no long-double vector is held whole.  During
+refinement ``solve`` holds, beside the assembled system, only D^-1 [X Z],
+the band LU of the trace system and two iterate-sized vectors: the back
+substitution works in place a run at a time, and a long-double residual
+is rounded into a new correction only when another step follows.
 """
 
 from __future__ import annotations
@@ -489,7 +493,9 @@ class _Condensed:
     by LAPACK's ``dgbtrf``; ``x`` is the solution for the assembled rhs, and
     ``solve`` repeats the elimination for a new right-hand side with
     ``dgbtrs``, so refinement steps reuse the LU of S.  D^-1 [X Z] and the
-    band factor are all it holds beyond the system.
+    band factor are all it holds beyond the system: the back substitution
+    subtracts D^-1 [X Z] t from D^-1 b in place, _CHUNK elements at a
+    time, so it forms no temporary of the solution's size.
 
     The diagonal blocks D are read from A's BSR data, where ``assemble``
     wrote them, _CHUNK elements at a time: each chunk's blocks are
@@ -580,12 +586,16 @@ class _Condensed:
 
     def _back_substitute(self, local: np.ndarray, traces: np.ndarray) -> np.ndarray:
         """x = D^-1 b - D^-1 [X Z] t, formed in place in local = D^-1 b of
-        shape (N, 3(k+1)) from its node traces, and returned flat."""
+        shape (N, 3(k+1)) from its node traces, and returned flat.  Element
+        e subtracts its X term (node e, e < N-1) and then its Z term (node
+        e-1, e > 0), a run of _CHUNK elements at a time."""
         if self.lub is not None:
             t = dgbtrs(self.lub, _KL, _KU, traces.reshape(-1, 1), self.ipiv,
                        overwrite_b=1)[0].reshape(-1, 3)
-            local[:-1] -= (self.dxz[:-1, :, :2] @ t[:, :2, None])[:, :, 0]
-            local[1:] -= self.dxz[1:, :, 2] * t[:, 2:]
+            for lo, hi in _chunks(self.n):
+                x_hi, z_lo = min(hi, self.n - 1), max(lo, 1)
+                local[lo:x_hi] -= (self.dxz[lo:x_hi, :, :2] @ t[lo:x_hi, :2, None])[:, :, 0]
+                local[z_lo:hi] -= self.dxz[z_lo:hi, :, 2] * t[z_lo - 1:hi - 1, 2:]
         return local.ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -661,8 +671,12 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     solve of its residual accumulated in extended precision (near the floor
     a double-precision residual is dominated by its own rounding noise), at
     most ``max_refine`` times, and it also stops once a step leaves that
-    residual no smaller, the sign that it has reached the floor.  The last
-    iterate is returned:
+    residual no smaller, the sign that it has reached the floor.  Besides
+    the system, D^-1 [X Z] and the band factor, refinement holds two
+    iterate-sized vectors: a step's new iterate is formed in the buffer of
+    its correction, and the next long-double residual gives only its norm,
+    formed a second time into a new correction only when another step
+    follows.  The last iterate is returned:
     at the floor the residual is noise (Bakhvalov k = 1, N = 65536: the
     refined iterate's l2u is within 1e-11 of the converged value, the
     unrefined one's 5e-5 off, though its residual is smaller).  Only when
@@ -699,19 +713,24 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     # formed only above that line.
     r_inf = _matvec(a, x, b)
     floor = 0.0 if r_inf <= 0.3 * target and math.isfinite(r_inf) else _rounding_floor(a, x)
+    start_floor = floor
     stop = max(0.3 * target, floor)
     steps = 0
     if r_inf > stop:
-        # Each long-double residual is rounded into the next correction; the
-        # new iterate is formed in the correction's buffer.
+        # A long-double residual is rounded into a correction only when a
+        # step follows; the new iterate is formed in the correction's buffer,
+        # so at most two iterate-sized vectors are held.
         correction = np.empty_like(x)
         r_inf = _matvec(a, x, b, dtype=np.longdouble, out=correction)
         while r_inf > stop and steps < max_refine:
-            x_prev, r_prev = x, r_inf       # kept for the final check; the older one is spent
+            if steps:                       # the residual again, into a correction
+                del x_prev                  # spent: this step keeps x
+                correction = np.empty_like(x)
+                _matvec(a, x, b, dtype=np.longdouble, out=correction)
+            x_prev, r_prev = x, r_inf       # kept for the final check
             x = np.add(x_prev, lu.solve(correction), out=correction)
             steps += 1
-            correction = np.empty_like(x)
-            r_inf = _matvec(a, x, b, dtype=np.longdouble, out=correction)
+            r_inf = _matvec(a, x, b, dtype=np.longdouble)
             if r_inf >= r_prev:
                 break
         del correction
@@ -720,7 +739,8 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     if steps:
         floor = _rounding_floor(a, x)
         if not passes(r_inf, floor):
-            prev_floor = _rounding_floor(a, x_prev)
+            # After one step x_prev is the first iterate, whose floor is held.
+            prev_floor = start_floor if steps == 1 else _rounding_floor(a, x_prev)
             if passes(r_prev, prev_floor):
                 x, r_inf, floor = x_prev, r_prev, prev_floor
         del x_prev
