@@ -713,7 +713,6 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     # formed only above that line.
     r_inf = _matvec(a, x, b)
     floor = 0.0 if r_inf <= 0.3 * target and math.isfinite(r_inf) else _rounding_floor(a, x)
-    start_floor = floor
     stop = max(0.3 * target, floor)
     steps = 0
     if r_inf > stop:
@@ -739,8 +738,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     if steps:
         floor = _rounding_floor(a, x)
         if not passes(r_inf, floor):
-            # After one step x_prev is the first iterate, whose floor is held.
-            prev_floor = start_floor if steps == 1 else _rounding_floor(a, x_prev)
+            prev_floor = _rounding_floor(a, x_prev)
             if passes(r_prev, prev_floor):
                 x, r_inf, floor = x_prev, r_prev, prev_floor
         del x_prev
