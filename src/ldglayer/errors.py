@@ -62,13 +62,18 @@ def _error_jumps(ends: np.ndarray, v: PiecewisePoly) -> np.ndarray:
     return out
 
 
-def _misfits(exact: tuple, v: tuple, quad: Quadrature, x: np.ndarray,
-             omx: np.ndarray) -> list[np.ndarray]:
-    """exact - v at the quadrature points x (offsets omx) of every element,
-    for each pair of an exact function and a PiecewisePoly; exact functions
-    with one eps share one layer factor."""
+def _misfits(exact: tuple, v: tuple, quad: Quadrature) -> tuple:
+    """What both error suites read of three pairs of an exact function and
+    a PiecewisePoly on one mesh: the weights hw and points x of ``quad`` on
+    every element, the misfits exact - v at x, their L2 norms and the exact
+    functions' ``node_values``.  Exact functions with one eps share one
+    layer factor."""
+    mesh = v[0].mesh
+    hw, x, omx = element_weights(mesh, quad), quad_points(mesh, quad), quad_offsets(mesh, quad)
     layers = {}
-    return [sample(f, x, omx, layers) - poly.values_at(quad) for f, poly in zip(exact, v)]
+    diffs = [sample(f, x, omx, layers) - poly.values_at(quad) for f, poly in zip(exact, v)]
+    return (hw, x, diffs, [math.sqrt((hw * d**2).sum()) for d in diffs],
+            [node_values(f, mesh) for f in exact])
 
 
 def _linf_fine(ends: np.ndarray, v: PiecewisePoly, diff: np.ndarray) -> float:
@@ -86,20 +91,15 @@ def error_record(exact_u, exact_p, exact_q, w: LdgSolution, problem: Problem,
     """All error measures of a solved case against the exact triple."""
     if quad is None:
         quad = gauss_quadrature(ERROR_QUAD_POINTS)
-    mesh = w.U.mesh
-    hw = element_weights(mesh, quad)
-    x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
-    eu, ep, eq = _misfits((exact_u, exact_p, exact_q), (w.U, w.P, w.Q), quad, x, omx)
-    ends_u = node_values(exact_u, mesh)
-    jumps_p = _error_jumps(node_values(exact_p, mesh), w.P)
+    hw, x, (eu, ep, _), (l2_u, l2_p, l2_q), (ends_u, ends_p, _) = _misfits(
+        (exact_u, exact_p, exact_q), (w.U, w.P, w.Q), quad)
+    jumps_p = _error_jumps(ends_p, w.P)
     jumps_u = _error_jumps(ends_u, w.U)
-    parts = energy_parts(problem, mesh, hw, x, ep, eu, jumps_p, jumps_u)
+    parts = energy_parts(problem, w.U.mesh, hw, x, ep, eu, jumps_p, jumps_u)
 
     return ErrorRecord(
         energy=math.sqrt(sum(parts)),
-        l2_u=math.sqrt((hw * eu**2).sum()),
-        l2_p=math.sqrt((hw * ep**2).sum()),
-        l2_q=math.sqrt((hw * eq**2).sum()),
+        l2_u=l2_u, l2_p=l2_p, l2_q=l2_q,
         linf_u_fine=_linf_fine(ends_u, w.U, eu),
         jump_u=math.sqrt((jumps_u**2).sum()),
         jump_p=math.sqrt((jumps_p**2).sum()),
@@ -168,19 +168,14 @@ def projection_error_suite(mesh: Mesh, k: int, eps: float,
     proj_u = project_gauss_radau(ProjectionSign.MINUS, case.exact_u, mesh, k, quad)
     proj_p = project_gauss_radau(ProjectionSign.PLUS, case.exact_p, mesh, k, quad)
     proj_q = project_gauss_radau(ProjectionSign.PLUS, case.exact_q, mesh, k, quad)
-    hw = element_weights(mesh, quad)
-    x, omx = quad_points(mesh, quad), quad_offsets(mesh, quad)
-    eu, ep, eq = _misfits((case.exact_u, case.exact_p, case.exact_q),
-                          (proj_u, proj_p, proj_q), quad, x, omx)
-    ends_u, ends_p = node_values(case.exact_u, mesh), node_values(case.exact_p, mesh)
+    _, _, (_, ep, eq), (l2_u, l2_p, l2_q), (ends_u, ends_p, ends_q) = _misfits(
+        (case.exact_u, case.exact_p, case.exact_q), (proj_u, proj_p, proj_q), quad)
     return ProjectionErrors(
-        l2_u=float(np.sqrt((hw * eu**2).sum())),
-        l2_p=float(np.sqrt((hw * ep**2).sum())),
-        l2_q=float(np.sqrt((hw * eq**2).sum())),
+        l2_u=l2_u, l2_p=l2_p, l2_q=l2_q,
         linf_p_fine=_linf_fine(ends_p, proj_p, ep),
-        linf_q_fine=_linf_fine(node_values(case.exact_q, mesh), proj_q, eq),
-        jump_u=float(np.sqrt((_error_jumps(ends_u, proj_u) ** 2).sum())),
-        jump_p=float(np.sqrt((_error_jumps(ends_p, proj_p) ** 2).sum())),
+        linf_q_fine=_linf_fine(ends_q, proj_q, eq),
+        jump_u=math.sqrt((_error_jumps(ends_u, proj_u) ** 2).sum()),
+        jump_p=math.sqrt((_error_jumps(ends_p, proj_p) ** 2).sum()),
     )
 
 

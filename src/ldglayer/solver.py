@@ -27,8 +27,8 @@ The resulting linear system is block tridiagonal with 3(k+1) unknowns per
 element, and the coupling across each interior node has low rank: the
 upper block is X Y^T (rank 2, through P^+ and b_dn U^+ + Q^+) and the
 lower block Z R^T (rank 1, through U^-).  ``BlockSystem._node_terms`` is
-the one statement of the four factors; the coupling blocks of A, the
-first local solve and every reduction onto the nodes read them from it.
+the one statement of the four factors: A's coupling blocks read it, and
+the condensed solve reads the dense factors ``_node_factors`` builds.
 The a P^+ term of the flux is carried by X, not Y, so the two upper node
 unknowns do not both contain P^+: that choice leaves far fewer condensed
 solves above the refinement threshold.
@@ -55,10 +55,10 @@ A, which stops once the residual meets the advertised tolerance or reaches
 the float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
 float64-stored solution can go.  Every residual and the floor are
 formed by ``_matvec`` in 512-element runs through scipy's public BSR
-product.  It reads A's float64 blocks where they are, converts a run of
-|A| or of long-double blocks and the run's window of x into reused
-buffers, and takes the residual's norm before it is rounded, so neither
-A nor x is copied whole and no long-double vector is held whole.  During
+product.  Each run converts its blocks and its x window with one call
+each (the float64 residual reads them in place), and the residual's norm
+is taken before it is rounded, so neither A nor x is copied whole and no
+long-double vector is held whole.  During
 refinement ``solve`` holds, beside the assembled system, only D^-1 [X Z],
 the band LU of the trace system and two iterate-sized vectors: the back
 substitution works in place a run at a time, and a long-double residual
@@ -422,47 +422,36 @@ def _matvec(a: sparse.bsr_matrix, x: np.ndarray, b: np.ndarray | None = None, *,
     with ``absolute``, accumulated in ``dtype``; y itself is written into
     ``out``, rounded to out's dtype, when out is given.
 
-    A must have ``assemble``'s block pattern: block row (e, field) reads
-    only the block columns of elements e-1..e+1, and a block outside them
-    raises ValueError before the kernel could read past x's window.
+    A must have ``assemble``'s block pattern, in which block row
+    (e, field) reads only the block columns of elements e-1..e+1.
     y is formed in 512-element runs (``_chunks``) through scipy's public
     BSR product: run lo..hi-1 multiplies a view of block rows 3lo..3hi-1
     by its x window, the block columns of elements lo-1..hi.  That
     product runs the kernel ``a @ x`` runs, so every row sums the
     same products in the same order and y is bit-identical to
-    ``b - a.astype(dtype) @ x``.  The x window is converted to dtype (or to
-    |x|) in one reused buffer when x is not in dtype already, A's float64
-    blocks are read where they are, and a run of |A| or of A in another
-    dtype is converted into one reused buffer.  The norm is taken in dtype
-    before y is rounded, and A and x are never copied whole.
+    ``b - a.astype(dtype) @ x``.  Only the window is checked: a block
+    outside it raises ValueError before the kernel could read past it,
+    and one pointed at another element inside it passes.  Each run's x
+    window and blocks are converted to dtype (|.| for |A| |x|) with one
+    call each, which the float64 residual skips by reading them in place,
+    and released right after the product.  The norm is taken in dtype before y is rounded,
+    and A and x are never copied whole.
     """
     r, c = a.blocksize
     n = a.shape[0] // (3 * r)                        # elements
-    runs = list(_chunks(n))
-    bounds = a.indptr[[3 * lo for lo, _ in runs] + [3 * n]].tolist()
-    if absolute or a.data.dtype != dtype:
-        vals = np.empty((np.diff(bounds).max(), r, c), dtype=dtype)
-    if absolute or x.dtype != dtype:
-        x_buf = np.empty(3 * min(_CHUNK + 2, n) * c, dtype=dtype)
+    convert = np.abs if absolute else np.asarray
     norm = dtype(0.0)
-    for (lo, hi), b0, b1 in zip(runs, bounds[:-1], bounds[1:]):
+    for lo, hi in _chunks(n):
+        b0, b1 = a.indptr[3 * lo], a.indptr[3 * hi]
         c0, c1 = 3 * max(lo - 1, 0), 3 * min(hi + 1, n)    # of elements lo-1..hi
-        xs, chunk = x[c0 * c:c1 * c], a.data[b0:b1]
-        if absolute:
-            xs = np.abs(xs, out=x_buf[:xs.size])
-            chunk = np.abs(chunk, out=vals[:b1 - b0])
-        else:
-            if x.dtype != dtype:
-                x_buf[:xs.size] = xs
-                xs = x_buf[:xs.size]
-            if chunk.dtype != dtype:
-                vals[:b1 - b0] = chunk
-                chunk = vals[:b1 - b0]
         cols = a.indices[b0:b1] - c0
         if b1 > b0 and (cols.min() < 0 or cols.max() >= c1 - c0):
             raise ValueError("A has a block outside assemble's block pattern")
+        xs = convert(x[c0 * c:c1 * c], dtype=dtype)
+        chunk = convert(a.data[b0:b1], dtype=dtype)
         y = sparse.bsr_matrix((chunk, cols, a.indptr[3 * lo:3 * hi + 1] - b0),
                               shape=(3 * (hi - lo) * r, xs.size), copy=False) @ xs
+        del xs, chunk                                # one run's conversions at a time
         if b is not None:
             np.subtract(b[3 * lo * r:3 * hi * r], y, out=y)
         if out is not None:
@@ -501,11 +490,11 @@ class _Condensed:
     wrote them, _CHUNK elements at a time: each chunk's blocks are
     gathered into one reused buffer and solved by one batched LAPACK call,
     which solves every block on its own, so the chunking leaves the results
-    bit-identical to a single batch.  The node factors are formed from the
-    system's node data a chunk at a time too: the X and Z pieces of
-    ``BlockSystem._node_terms`` go straight into the first local solve's
-    right-hand sides, and dense Y and R (``_node_factors``) into each
-    reduction onto the nodes.
+    bit-identical to a single batch.  The node factors are formed a chunk
+    at a time too, by ``BlockSystem._node_factors``: dense X and Z fill the
+    first local solve's right-hand sides, dense Y and R each reduction onto
+    the nodes.  ``growth``, max|U_S| / max|S| with U_S the first kl + ku + 1
+    rows of the band factor (0 for N = 1), is formed right after ``dgbtrf``.
     """
 
     def __init__(self, system: BlockSystem) -> None:
@@ -520,28 +509,27 @@ class _Condensed:
         # X of node e sits in element e, Z in element e+1.
         self.dxz = np.empty((n, width, 3))      # D^-1 [X Z]
         x = np.empty((n, width))
-        rhs = system.rhs.reshape(n, 3, self.m)
+        rhs = system.rhs.reshape(n, width)
         for lo, hi, d in self._local_blocks():
             n0, n1 = max(lo - 1, 0), min(hi, n - 1)    # X of nodes lo.., Z of nodes lo-1..
-            terms = system._node_terms(n0, n1)
-            local = np.zeros((hi - lo, 3, self.m, 4))
-            for field, col, vals in terms["x"]:
-                local[:n1 - lo, field, :, col] = vals[lo - n0:]
-            for field, _, vals in terms["z"]:
-                local[max(lo, 1) - lo:, field, :, 2] = vals[:hi - 1 - n0]
-            local[..., 3] = rhs[lo:hi]
-            sol = _solve_local(d, local.reshape(hi - lo, width, 4))
+            fx, fz = system._node_factors(n0, n1, "xz")
+            local = np.zeros((hi - lo, width, 4))
+            local[:n1 - lo, :, :2] = fx[lo - n0:]
+            local[max(lo, 1) - lo:, :, 2:3] = fz[:hi - 1 - n0]
+            local[:, :, 3] = rhs[lo:hi]
+            sol = _solve_local(d, local)
             self.dxz[lo:hi] = sol[:, :, :3]
             x[lo:hi] = sol[:, :, 3]
-        del local, sol, d         # d holds the gather buffer
+        del fx, fz, local, sol, d         # d holds the gather buffer
         t_dxz, t_x = self._node_traces(self.dxz, x[:, :, None])
-        self.lub = None
+        self.lub, self.growth = None, 0.0
         if n > 1:
             ab = _trace_band(t_dxz)
-            self.s_max = _inf_norm(ab)
+            max_s = _inf_norm(ab)
             self.lub, self.ipiv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=1)
             if info > 0:
                 raise RuntimeError(f"singular LDG system: trace pivot {info} is zero")
+            self.growth = _inf_norm(self.lub[:_KL + _KU + 1]) / max_s
         del t_dxz
         self.x = self._back_substitute(x, t_x)
 
@@ -563,13 +551,6 @@ class _Condensed:
                 if lo <= e < hi:
                     d[e - lo, rows, :, cols] = data[start + d_at]
             yield lo, hi, d.reshape(hi - lo, 3 * m, 3 * m)
-
-    def growth_factor(self) -> float:
-        """max|U_S| / max|S|, 0 without a trace system; U_S fills the first
-        kl + ku + 1 rows of the band factor."""
-        if self.lub is None:
-            return 0.0
-        return _inf_norm(self.lub[:_KL + _KU + 1]) / self.s_max
 
     def _node_traces(self, *ws: np.ndarray) -> list[np.ndarray]:
         """[Y_e^T w_{e+1}; R_e^T w_e] at each node e for each local field w
@@ -733,7 +714,7 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
             if r_inf >= r_prev:
                 break
         del correction
-    growth = lu.growth_factor()
+    growth = lu.growth
     del lu                  # D^-1 [X Z] and the band factor are spent
     if steps:
         floor = _rounding_floor(a, x)

@@ -37,3 +37,37 @@ def test_no_private_numpy_or_scipy_import():
                 if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts):
                     private.append(f"{path.name}:{node.lineno}: {name}")
     assert not private, private
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of the module's top-level functions, classes and
+    assigned names and of its classes' methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.lineno
+
+
+def test_no_dead_private_helper():
+    """Every ``_``-prefixed module-level name and private method of the
+    package is read somewhere in the package (as a name or an attribute),
+    so a helper whose last caller went does not linger; dunder names are
+    not private helpers."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(ldglayer.__file__).parent.rglob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    dead = [f"{file}:{line}: {name}" for file, tree in trees.items()
+            for name, line in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not dead, dead

@@ -423,17 +423,32 @@ def test_matvec_refuses_a_block_outside_the_pattern(monkeypatch):
         solver._matvec(a, np.ones(a.shape[1]))
 
 
+def test_solve_refuses_a_block_outside_the_pattern_in_default_runs():
+    """In the default runs all six elements share one x window, so _matvec's
+    per-run check passes a block row pointed at element 5's Q column.  The
+    condensed solve reads A's blocks by their place in the pattern, not by
+    their column index, so it solves the unaltered system, and solve's
+    residual check against the altered A refuses the result."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(6), 1)
+    assert system.mesh.n_elements <= solver._CHUNK
+    a = system.matrix.copy()
+    a.indices[0] = a.shape[1] // a.blocksize[1] - 1        # element 5's Q column
+    with pytest.raises(RuntimeError, match="exceeds"):
+        solve(dataclasses.replace(system, matrix=a))
+
+
 def test_matvec_memory_is_one_chunk_of_buffers(monkeypatch):
-    """Every run of C = _CHUNK elements is formed in the same buffers, and
-    its y is released before the next run's product, so the traced peak of
-    _matvec stays within one run's blocks of A in the accumulation dtype,
-    its x window, its rows of y and the cast of b's rows that subtracting
+    """Every run of C = _CHUNK elements releases the blocks and the x
+    window it converted right after its product, and its y before the next
+    run's product, so the traced peak of _matvec stays within one run's
+    blocks of A in the accumulation dtype, its x window, its rows of y and
+    the cast of b's rows that subtracting
     them takes (at most 3(C + 2) block columns or rows each) and 64 KiB of
     slack (index offsets of one run, loop bookkeeping).  Nothing of x's or
     y's size is allocated: the floor and the float64 residual return their
     norm only, the long-double residual is rounded into the caller's array,
     and the float64 residual reads A's blocks where they are, with no
-    buffer for them at all."""
+    converted copy of them at all."""
     monkeypatch.setattr(solver, "_CHUNK", 256)
     a = assemble(_varying_problem(0.05), uniform_mesh(2048), 3).matrix
     r, c = a.blocksize
@@ -688,7 +703,8 @@ def _dense_trace_system(system):
 def test_trace_band_matches_a_dense_oracle(n, k):
     """The band that dgbtrf factors holds S = I + [Y R]^T D^-1 [X Z] at
     ab[kl + ku + i - j, j], S has nothing outside kl = 3, ku = 4, the fill
-    rows are zero, and growth_factor is max|U| / max|S| of a dense LU."""
+    rows are zero, and solve reports growth_factor as max|U| / max|S| of a
+    dense LU."""
     kind = MeshKind.BAKHVALOV if n >= 4 else None      # Bakhvalov needs N >= 4
     problem, mesh, _ = _bilinear_setup("varying", kind, n, k)
     system = assemble(problem, mesh, k)
@@ -711,7 +727,16 @@ def test_trace_band_matches_a_dense_oracle(n, k):
     assert np.count_nonzero(ab) == np.count_nonzero(unpacked)
 
     u = scipy.linalg.lu(s)[2]
-    assert cond.growth_factor() == pytest.approx(np.abs(u).max() / np.abs(s).max(), rel=1e-12)
+    assert solve(system).info.growth_factor == pytest.approx(np.abs(u).max() / np.abs(s).max(),
+                                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_growth_factor_is_zero_without_a_trace_system(k):
+    """One element has no interior node, so no trace system is factored and
+    solve reports growth_factor 0."""
+    system = assemble(_varying_problem(0.05), uniform_mesh(1), k)
+    assert solve(system).info.growth_factor == 0.0
 
 
 def test_import_leaves_the_sparse_lu_unloaded():
