@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
@@ -280,11 +279,6 @@ def element_moments(f, mesh: Mesh, k: int, quad: Quadrature) -> np.ndarray:
     return moments
 
 
-def element_values(f, mesh: Mesh, quad: Quadrature) -> np.ndarray:
-    """f at the quadrature points of every element, offset-aware, (N, nq)."""
-    return sample(f, quad_points(mesh, quad), quad_offsets(mesh, quad))
-
-
 @dataclass
 class PiecewisePoly:
     """Element-wise polynomial of degree <= k in the orthonormal basis.
@@ -312,11 +306,6 @@ class PiecewisePoly:
     def values_at(self, quad: Quadrature) -> np.ndarray:
         """Values at the quadrature points of every element, (N, nq)."""
         return np.einsum("em,mq->eq", self.coeffs * self.scale, quad.legendre(self.k)[0])
-
-    def deriv_values_at(self, quad: Quadrature) -> np.ndarray:
-        """Derivative values at the quadrature points, (N, nq)."""
-        scaled = self.coeffs * self.scale * (2.0 / self.mesh.widths[:, None])
-        return np.einsum("em,mq->eq", scaled, quad.legendre(self.k)[1])
 
     def __call__(self, x) -> np.ndarray:
         """Global evaluation (points at interior nodes use the left element)."""
@@ -347,78 +336,3 @@ class PiecewisePoly:
         out[1:-1] = plus[1:] - minus[:-1]
         out[-1] = -minus[-1]
         return out
-
-    # -- algebra ------------------------------------------------------------
-
-    def derivative(self) -> "PiecewisePoly":
-        """Element-wise derivative, expanded in the same basis (degree k)."""
-        m = self.k + 1
-        l = np.arange(m)
-        pair = np.zeros((m, m))
-        for a in range(m):
-            for b in range(m):
-                if b > a and (b - a) % 2 == 1:
-                    pair[a, b] = 2.0 * math.sqrt((2 * a + 1) * (2 * b + 1))
-        dcoeffs = np.einsum("ab,eb->ea", pair, self.coeffs) / self.mesh.widths[:, None]
-        return PiecewisePoly(self.mesh, self.k, dcoeffs)
-
-    def l2(self) -> float:
-        """Global L2 norm (orthonormal basis: Euclidean coefficient norm)."""
-        return float(np.sqrt((self.coeffs**2).sum()))
-
-    def _check_same(self, other: "PiecewisePoly") -> None:
-        if self.mesh is not other.mesh or self.k != other.k:
-            raise ValueError("operands must share mesh and degree")
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        self._check_same(other)
-        return PiecewisePoly(self.mesh, self.k, self.coeffs - other.coeffs)
-
-
-def zero_poly(mesh: Mesh, k: int) -> PiecewisePoly:
-    return PiecewisePoly(mesh, k, np.zeros((mesh.n_elements, k + 1)))
-
-
-class ProjectionSign(Enum):
-    """Endpoint collocated by the Gauss-Radau projection."""
-
-    MINUS = "minus"  # collocates the right endpoint of each element
-    PLUS = "plus"    # collocates the left endpoint of each element
-
-
-def project_gauss_radau(sign: ProjectionSign, f, mesh: Mesh, k: int,
-                        quad: Quadrature | None = None) -> PiecewisePoly:
-    """Local Gauss-Radau projection of f onto degree-k piecewise polynomials.
-
-    On each element the result matches the first k moments of f and
-    collocates f exactly at one endpoint: the right one for MINUS, the left
-    one for PLUS.  For k = 0 there are no moment conditions and the
-    projection is endpoint interpolation.
-
-    Each element solves a (k+1)x(k+1) system (k identity moment rows plus
-    one collocation row); a singular system is impossible for positive
-    widths but numpy's solve still guards the pivots.
-    """
-    if quad is None:
-        quad = gauss_quadrature(k + 3)
-    n = mesh.n_elements
-    m = k + 1
-    moments = element_moments(f, mesh, k, quad)
-
-    left, right = mesh_traces(mesh, k)
-    if sign is ProjectionSign.MINUS:
-        trace_row, fvals = right, node_values(f, mesh)[1:]
-    elif sign is ProjectionSign.PLUS:
-        trace_row, fvals = left, node_values(f, mesh)[:-1]
-    else:
-        raise ValueError(f"unknown projection sign {sign!r}")
-
-    system = np.zeros((n, m, m))
-    rhs = np.empty((n, m))
-    for l in range(k):
-        system[:, l, l] = 1.0
-        rhs[:, l] = moments[:, l]
-    system[:, k, :] = trace_row
-    rhs[:, k] = fvals
-    coeffs = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-    return PiecewisePoly(mesh, k, coeffs)

@@ -4,8 +4,6 @@
 weak exponential layer of width O(eps) at x = 1; its forcing term was derived
 by hand from the closed-form solution, with the exp(-(1-x)/eps)/eps terms
 cancelled analytically so no catastrophic cancellation occurs at small eps.
-``polynomial_case`` is a consistency oracle: a cubic solution the degree-3
-scheme must reproduce to solver accuracy.
 
 ``boundary_layer_case`` is memoised per eps: its ``Problem`` validates the
 coefficients once per process, and every row at that eps shares the one
@@ -112,34 +110,3 @@ def boundary_layer_case(eps: float) -> TestCase:
     return TestCase(name=f"boundary_layer(eps={eps:g})", eps=eps,
                     problem=problem, exact_u=exact_u, exact_p=exact_p,
                     exact_q=exact_q)
-
-
-def polynomial_case(eps: float) -> TestCase:
-    """Cubic u = x (1-x)^2 with unit coefficients (consistency oracle).
-
-    Satisfies u(0) = u(1) = u'(1) = 0; a degree >= 3 scheme reproduces it to
-    roundoff, which pins down flux signs and boundary handling.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return x * (1.0 - x) ** 2
-
-    def p(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 - 4.0 * x + 3.0 * x * x
-
-    def q(x):
-        x = np.asarray(x, dtype=float)
-        return eps * (6.0 * x - 4.0)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return 6.0 * eps + 5.0 - 9.0 * x + x * x + x**3
-
-    problem = Problem(a=_ONE, b=_ONE, bprime=_ZERO, c=_ONE, f=f,
-                      eps=eps, alpha=1.0, gamma=1.0)
-    return TestCase(name=f"cubic(eps={eps:g})", eps=eps, problem=problem,
-                    exact_u=u, exact_p=p, exact_q=q)

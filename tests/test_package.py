@@ -4,13 +4,18 @@ from pathlib import Path
 import ldglayer
 
 RETIRED = ("eval_trace", "flux_values", "FluxValues", "error_energy_norm",
-           "l2_error", "linf_error_fine")
+           "l2_error", "linf_error_fine",
+           "ProjectionErrors", "ProjectionSign", "auxiliary_identity_residuals",
+           "bilinear_form", "energy_norm", "fit_rate", "polynomial_case",
+           "project_gauss_radau", "projection_error_suite")
+TESTS = Path(__file__).parent
 
 
 def test_public_surface():
-    """Every exported name resolves, none twice, and the retired one-value
-    readers stay retired (``PiecewisePoly.trace_*_all``, ``flux_table`` and
-    ``error_record`` read the same values)."""
+    """Every exported name resolves, none twice, and the retired names stay
+    retired: the one-value readers (``PiecewisePoly.trace_*_all`` and
+    ``error_record`` read the same values) and the verification oracles,
+    which live in ``tests/oracles.py``."""
     for name in ldglayer.__all__:
         getattr(ldglayer, name)
     assert len(set(ldglayer.__all__)) == len(ldglayer.__all__)
@@ -57,17 +62,33 @@ def _definitions(tree: ast.Module):
                     yield item.name, item.lineno
 
 
+def _read(*paths: Path) -> set:
+    """The names the files read, as a name or an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_dead_private_helper():
     """Every ``_``-prefixed module-level name and private method of the
     package is read somewhere in the package (as a name or an attribute),
     so a helper whose last caller went does not linger; dunder names are
     not private helpers."""
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(Path(ldglayer.__file__).parent.rglob("*.py"))}
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-    dead = [f"{file}:{line}: {name}" for file, tree in trees.items()
-            for name, line in _definitions(tree)
+    paths = sorted(Path(ldglayer.__file__).parent.rglob("*.py"))
+    read = _read(*paths)
+    dead = [f"{path.name}:{line}: {name}" for path in paths
+            for name, line in _definitions(ast.parse(path.read_text(), str(path)))
             if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not dead, dead
+
+
+def test_every_oracle_has_a_reader():
+    """Every top-level definition of ``tests/oracles.py`` is read by some
+    ``tests/test_*.py`` file, or, if ``_``-prefixed, by the oracles
+    themselves, so no dead oracle code lingers."""
+    oracles = TESTS / "oracles.py"
+    by_tests, by_oracles = _read(*sorted(TESTS.glob("test_*.py"))), _read(oracles)
+    dead = [f"oracles.py:{line}: {name}"
+            for name, line in _definitions(ast.parse(oracles.read_text(), str(oracles)))
+            if name not in (by_oracles if name.startswith("_") else by_tests)]
     assert not dead, dead

@@ -6,10 +6,12 @@ import pytest
 import ldglayer.cli as cli
 import ldglayer.study as study
 from ldglayer.cli import main as cli_main
-from ldglayer.errors import fit_rate, rate_r2
+from ldglayer.errors import rate_r2
 from ldglayer.meshes import MeshKind
 from ldglayer.study import (CSV_HEADER, ConvergenceReport, StudyConfig,
                             StudyRow, emit_plotdata, emit_table, run_study)
+
+from oracles import fit_rate
 
 SMALL = StudyConfig(mesh_kinds=(MeshKind.SHISHKIN,), degrees=(1,),
                     eps_list=(1e-4,), n_list=(16, 32, 64))
