@@ -1,21 +1,7 @@
-import numpy as np
 import pytest
 
-from ldglayer import MeshKind, MeshSpec, Problem, build_mesh, boundary_layer_case, solve_ldg
+from ldglayer import MeshKind, MeshSpec, build_mesh, boundary_layer_case, solve_ldg
 from ldglayer.errors import error_record
-
-
-def ones(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
-def zeros(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def unit_problem(eps, f, b_sign=1.0):
-    b = (lambda x: b_sign * ones(x))
-    return Problem(a=ones, b=b, bprime=zeros, c=ones, f=f, eps=eps, alpha=1.0, gamma=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -38,8 +38,9 @@ def derivative(v: PiecewisePoly) -> PiecewisePoly:
     m = v.k + 1
     pair = np.zeros((m, m))
     for a in range(m):
-        for b in range(a + 1, m, 2):
-            pair[a, b] = 2.0 * math.sqrt((2 * a + 1) * (2 * b + 1))
+        for b in range(m):
+            if b > a and (b - a) % 2 == 1:
+                pair[a, b] = 2.0 * math.sqrt((2 * a + 1) * (2 * b + 1))
     dcoeffs = np.einsum("ab,eb->ea", pair, v.coeffs) / v.mesh.widths[:, None]
     return PiecewisePoly(v.mesh, v.k, dcoeffs)
 
@@ -258,18 +259,17 @@ def bilinear_form(w, chi, problem: Problem, mesh: Mesh, k: int,
     return total
 
 
-def energy_identity_deviation(w: LdgSolution, problem: Problem) -> float:
-    """|B(W; chi) - ||W||^2| / ||W||^2 for chi = (U, aP - Q, P) and a = 1: the
-    energy identity's relative deviation.  ||W||^2 is the sum of
-    ``energy_parts`` over max(k+3, 10) Gauss points per element, jumps
-    running over all nodes j = 0..N with the convention of
-    ``PiecewisePoly.jumps``, and is floored at 1e-300."""
-    mesh, k = w.U.mesh, w.U.k
-    quad = gauss_quadrature(max(k + 3, 10))
-    en2 = sum(energy_parts(problem, mesh, element_weights(mesh, quad), quad_points(mesh, quad),
-                           w.P.values_at(quad), w.U.values_at(quad), w.P.jumps(), w.U.jumps()))
-    chi = (w.U, PiecewisePoly(mesh, k, w.P.coeffs - w.Q.coeffs), w.P)
-    return abs(bilinear_form((w.U, w.P, w.Q), chi, problem, mesh, k) - en2) / max(en2, 1e-300)
+def energy_norm(w: LdgSolution, problem: Problem) -> float:
+    """Scheme-induced energy norm of a discrete triple: the root of the sum
+    of ``energy_parts`` over max(k+3, 10) Gauss points per element, jumps
+    running over all nodes j = 0..N with the boundary convention of
+    ``PiecewisePoly.jumps``."""
+    quad = gauss_quadrature(max(w.U.k + 3, 10))
+    mesh = w.U.mesh
+    parts = energy_parts(problem, mesh, element_weights(mesh, quad),
+                         quad_points(mesh, quad), w.P.values_at(quad),
+                         w.U.values_at(quad), w.P.jumps(), w.U.jumps())
+    return math.sqrt(sum(parts))
 
 
 def polynomial_case(eps: float) -> TestCase:
@@ -312,16 +312,16 @@ def fit_rate(xs, errs) -> float:
     return float(np.polyfit(np.log(xs), np.log(errs), 1)[0])
 
 
-def refined_solution(system: BlockSystem, max_steps: int = 4) -> LdgSolution:
+def refined_solution(system: BlockSystem) -> LdgSolution:
     """The condensed solve of ``system`` refined with stop line 0: each step
     corrects x by the condensed solve of its long-double residual against
-    the assembled A, at most ``max_steps`` times, and a step that does not
-    lower that residual's norm is undone and ends the refinement."""
+    the assembled A, at most 4 steps, and a step that does not lower that
+    residual's norm is undone and ends the refinement."""
     lu = _Condensed(system)
     a, b = system.matrix, system.rhs
     x, r = lu.x, np.empty_like(lu.x)
     r_inf = _matvec(a, x, b, dtype=np.longdouble, out=r)
-    for _ in range(max_steps):
+    for _ in range(4):
         x_new, r_new = x + lu.solve(r), np.empty_like(x)
         r_new_inf = _matvec(a, x_new, b, dtype=np.longdouble, out=r_new)
         if not r_new_inf < r_inf:

@@ -7,7 +7,6 @@ from ldglayer.meshes import MeshKind, MeshSpec, build_mesh
 from ldglayer.solver import Problem, solve_ldg
 from ldglayer.errors import error_record
 
-from conftest import ones, zeros
 from oracles import polynomial_case
 
 EPS_SET = [1e-2, 1e-4, 1e-8, 1e-12]
@@ -136,19 +135,21 @@ def test_eps_validation():
 
 
 def test_problem_invariant_validation():
+    ok = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     with pytest.raises(ValueError):
         # a(x) = x dips below alpha = 1
-        Problem(a=lambda x: np.asarray(x, dtype=float), b=ones, bprime=zeros,
-                c=ones, f=zeros, eps=0.1, alpha=1.0, gamma=1.0)
+        Problem(a=lambda x: np.asarray(x, dtype=float), b=ok, bprime=zero,
+                c=ok, f=zero, eps=0.1, alpha=1.0, gamma=1.0)
     with pytest.raises(ValueError):
         # c - b'/2 = 1 - 1 = 0 < gamma
-        Problem(a=ones, b=lambda x: 2.0 * np.asarray(x, dtype=float),
+        Problem(a=ok, b=lambda x: 2.0 * np.asarray(x, dtype=float),
                 bprime=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-                c=ones, f=zeros, eps=0.1, alpha=1.0, gamma=1.0)
+                c=ok, f=zero, eps=0.1, alpha=1.0, gamma=1.0)
     with pytest.raises(ValueError):
         # bprime inconsistent with b
-        Problem(a=ones, b=lambda x: np.sin(np.asarray(x, dtype=float)),
-                bprime=zeros, c=lambda x: 5 * ones(x), f=zeros,
+        Problem(a=ok, b=lambda x: np.sin(np.asarray(x, dtype=float)),
+                bprime=zero, c=lambda x: 5 * ok(x), f=zero,
                 eps=0.1, alpha=1.0, gamma=1.0)
 
 

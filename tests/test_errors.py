@@ -7,13 +7,23 @@ from ldglayer.basis import PiecewisePoly, gauss_quadrature
 from ldglayer.cases import boundary_layer_case
 from ldglayer.errors import error_record, rate_r2, rate_rs
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, uniform_mesh
-from ldglayer.solver import LdgSolution
+from ldglayer.solver import LdgSolution, Problem
 
-from conftest import ones, solve_and_measure, unit_problem, zeros
+from conftest import solve_and_measure
 from oracles import (ProjectionErrors, ProjectionSign, auxiliary_identity_residuals, fit_rate,
                      polynomial_case, project_gauss_radau, projection_error_suite, zero_poly)
 
-UNIT_PROBLEM = unit_problem(0.1, zeros)
+
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+UNIT_PROBLEM = Problem(a=_ones, b=_ones, bprime=_zeros, c=_ones, f=_zeros,
+                       eps=0.1, alpha=1.0, gamma=1.0)
 
 
 def constant_solution(mesh, k, u_value):
@@ -27,7 +37,7 @@ def u_record(exact, v):
     """``error_record`` of v as the U field against ``exact``, with P = Q = 0
     against zero."""
     zero = zero_poly(v.mesh, v.k)
-    return error_record(exact, zeros, zeros, LdgSolution(v, zero, zero),
+    return error_record(exact, _zeros, _zeros, LdgSolution(v, zero, zero),
                         UNIT_PROBLEM)
 
 
@@ -36,7 +46,7 @@ def test_energy_of_unit_constant_is_sqrt_two():
     # contributes 1 and the two boundary u-jumps contribute 1/2 each.
     mesh = uniform_mesh(4)
     w = constant_solution(mesh, 1, 1.0)
-    e = error_record(zeros, zeros, zeros, w, UNIT_PROBLEM).energy
+    e = error_record(_zeros, _zeros, _zeros, w, UNIT_PROBLEM).energy
     assert e == pytest.approx(math.sqrt(2.0), rel=1e-13)
 
 
@@ -56,8 +66,8 @@ def test_energy_homogeneity():
     mesh = uniform_mesh(4)
     w1 = constant_solution(mesh, 1, 1.0)
     w3 = constant_solution(mesh, 1, 3.0)
-    e1 = error_record(zeros, zeros, zeros, w1, UNIT_PROBLEM).energy
-    e3 = error_record(zeros, zeros, zeros, w3, UNIT_PROBLEM).energy
+    e1 = error_record(_zeros, _zeros, _zeros, w1, UNIT_PROBLEM).energy
+    e3 = error_record(_zeros, _zeros, _zeros, w3, UNIT_PROBLEM).energy
     assert e3 == pytest.approx(3.0 * e1, rel=1e-13)
 
 
@@ -74,17 +84,17 @@ def test_l2_error_of_exact_polynomial():
     coeffs = np.zeros((3, 2))
     coeffs[:, 0] = 2.0 * np.sqrt(mesh.widths)
     v = PiecewisePoly(mesh, 1, coeffs)   # v = 2
-    assert u_record(lambda x: 2.0 * ones(x), v).l2_u <= 1e-13
+    assert u_record(lambda x: 2.0 * _ones(x), v).l2_u <= 1e-13
 
 
 def test_l2_error_unit_constant():
     v = zero_poly(uniform_mesh(4), 1)
-    assert u_record(ones, v).l2_u == pytest.approx(1.0, rel=1e-13)
+    assert u_record(_ones, v).l2_u == pytest.approx(1.0, rel=1e-13)
 
 
 def test_linf_fine_unit_constant():
     v = zero_poly(uniform_mesh(4), 1)
-    assert u_record(ones, v).linf_u_fine == pytest.approx(1.0, rel=1e-13)
+    assert u_record(_ones, v).linf_u_fine == pytest.approx(1.0, rel=1e-13)
 
 
 # -- rates -----------------------------------------------------------------

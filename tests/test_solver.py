@@ -18,28 +18,36 @@ from ldglayer.basis import PiecewisePoly, gauss_quadrature
 from ldglayer.cases import boundary_layer_case
 from ldglayer.errors import error_record
 from ldglayer.meshes import MeshKind, MeshSpec, build_mesh, uniform_mesh
-from ldglayer.solver import LdgSolution, Problem, assemble, solve, solve_ldg
+from ldglayer.solver import Problem, assemble, solve, solve_ldg
 
-from conftest import ones, solve_and_measure, unit_problem, zeros
-from oracles import (bilinear_form, energy_identity_deviation, flux_table, l2,
-                     polynomial_case, refined_solution, zero_poly)
+from conftest import solve_and_measure
+from oracles import (bilinear_form, energy_norm, flux_table, l2, polynomial_case,
+                     refined_solution, zero_poly)
 
 
-def _traced_peak(fn):
-    """fn() and the peak of the memory tracemalloc traced while it ran."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def unit_problem(eps, f, b_sign=1.0):
+    b = (lambda x: b_sign * _ones(x))
+    return Problem(a=_ones, b=b, bprime=_zeros, c=_ones, f=f,
+                   eps=eps, alpha=1.0, gamma=1.0)
 
 
 # -- numerical fluxes ------------------------------------------------------
 
 def make_random_solution(mesh, k, seed=0):
     rng = np.random.default_rng(seed)
-    return LdgSolution(*(PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1)))
-                         for _ in range(3)))
+    from ldglayer.solver import LdgSolution
+    return LdgSolution(
+        U=PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1))),
+        P=PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1))),
+        Q=PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1))))
 
 
 def solution_fluxes(w, problem):
@@ -53,7 +61,7 @@ def solution_fluxes(w, problem):
 def test_flux_upwind_positive_b():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 2)
-    problem = unit_problem(0.1, zeros, b_sign=1.0)
+    problem = unit_problem(0.1, _zeros, b_sign=1.0)
     uhat, phat, qhat, ptilde, bu = solution_fluxes(w, problem)
     for j in (1, 2, 3):
         assert bu[j] == pytest.approx(w.U.trace_minus_all()[j - 1], rel=1e-14)
@@ -66,7 +74,7 @@ def test_flux_upwind_positive_b():
 def test_flux_upwind_negative_b():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 2)
-    problem = unit_problem(0.1, zeros, b_sign=-1.0)
+    problem = unit_problem(0.1, _zeros, b_sign=-1.0)
     bu = solution_fluxes(w, problem)[4]
     for j in (1, 2, 3):
         assert bu[j] == pytest.approx(-w.U.trace_plus_all()[j], rel=1e-14)
@@ -75,7 +83,7 @@ def test_flux_upwind_negative_b():
 def test_flux_boundaries():
     mesh = uniform_mesh(4)
     w = make_random_solution(mesh, 1, seed=3)
-    problem = unit_problem(0.1, zeros)
+    problem = unit_problem(0.1, _zeros)
     uhat, phat, qhat, ptilde, bu = solution_fluxes(w, problem)
     assert uhat[0] == 0.0
     assert phat[0] == pytest.approx(w.P.trace_plus_all()[0], rel=1e-14)
@@ -91,7 +99,7 @@ def test_flux_boundaries():
 
 def test_zero_forcing_gives_zero_rhs():
     mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 8, 1e-2, 2.5))
-    system = assemble(unit_problem(1e-2, zeros), mesh, 2)
+    system = assemble(unit_problem(1e-2, _zeros), mesh, 2)
     assert np.all(system.rhs == 0.0)
 
 
@@ -140,7 +148,12 @@ def test_assembly_memory_is_bounded_by_the_output():
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
-        system, peak = _traced_peak(lambda: assemble(case.problem, mesh, k))
+        tracemalloc.start()
+        try:
+            system = assemble(case.problem, mesh, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         a = system.matrix
         out = sum(arr.nbytes for arr in (a.data, a.indices, a.indptr, system.rhs,
                                          *_node_data(system)))
@@ -170,7 +183,7 @@ def test_hand_assembled_two_element_k0_system():
     element, columns the (U, P, Q) coefficients of each element."""
     mesh = uniform_mesh(2)
     eps = 0.1
-    problem = unit_problem(eps, ones)
+    problem = unit_problem(eps, _ones)
     system = assemble(problem, mesh, 0)
     got = system.matrix.toarray()
     expected = np.array([
@@ -190,7 +203,7 @@ def test_hand_assembled_two_element_k0_system():
 
 def test_matrix_dump_roundtrip():
     mesh = uniform_mesh(2)
-    system = assemble(unit_problem(0.1, ones), mesh, 0)
+    system = assemble(unit_problem(0.1, _ones), mesh, 0)
     dense = np.zeros((6, 6))
     for line in system.dump_coo().strip().splitlines():
         r, c, v = line.split()
@@ -202,8 +215,10 @@ def test_matrix_dump_roundtrip():
 
 def test_zero_forcing_gives_zero_solution():
     mesh = build_mesh(MeshSpec(MeshKind.SHISHKIN, 8, 1e-3, 2.5))
-    w = solve_ldg(unit_problem(1e-3, zeros), mesh, 1)
-    assert l2(w.U) == l2(w.P) == l2(w.Q) == 0.0
+    w = solve_ldg(unit_problem(1e-3, _zeros), mesh, 1)
+    assert l2(w.U) == 0.0
+    assert l2(w.P) == 0.0
+    assert l2(w.Q) == 0.0
 
 
 @pytest.mark.parametrize("kind", list(MeshKind))
@@ -465,7 +480,12 @@ def test_matvec_memory_is_one_chunk_of_buffers(monkeypatch):
     for dtype, kwargs, buffered in ((np.longdouble, dict(b=b, out=out), True),
                                     (np.float64, dict(absolute=True), True),
                                     (np.float64, dict(b=b), False)):
-        peak = _traced_peak(lambda: solver._matvec(a, x, dtype=dtype, **kwargs))[1]
+        tracemalloc.start()
+        try:
+            solver._matvec(a, x, dtype=dtype, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         window = 3 * 3 * (solver._CHUNK + 2) * c
         bound = (buffered * chunk_nnz + window) * np.dtype(dtype).itemsize + (64 << 10)
         assert peak <= bound, (dtype, kwargs.keys(), peak / x.nbytes)
@@ -488,7 +508,12 @@ def test_solve_memory_is_bounded_by_the_rhs():
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 4096, 1e-8, 2.5))
     for k in (1, 3):
         system = assemble(case.problem, mesh, k)
-        w, peak = _traced_peak(lambda: solve(system))
+        tracemalloc.start()
+        try:
+            w = solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert w.info.refine_steps >= 1
         assert peak <= 14.5 * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
 
@@ -504,10 +529,13 @@ def test_assemble_and_solve_memory_is_bounded_by_the_rhs():
     case = boundary_layer_case(1e-8)
     mesh = build_mesh(MeshSpec(MeshKind.BAKHVALOV, 16384, 1e-8, 2.5))
     for k, bound in ((1, 25.0), (3, 30.5)):
-        def run():
+        tracemalloc.start()
+        try:
             system = assemble(case.problem, mesh, k)
-            return system, solve(system)
-        (system, w), peak = _traced_peak(run)
+            w = solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert w.info.refine_steps == (k == 3)
         assert peak <= bound * system.rhs.nbytes, (k, peak / system.rhs.nbytes)
 
@@ -545,7 +573,12 @@ def test_solve_memory_is_its_stated_budget(kind, eps, n, k, steps, monkeypatch):
               + nodes * 3 * 4 * 8                             # node traces
               + 2 * (solver._CHUNK + 2) * 13 * m * m * 16     # one run's buffers
               + (64 << 10))                                   # slack
-    w, peak = _traced_peak(lambda: solve(system))
+    tracemalloc.start()
+    try:
+        w = solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert w.info.refine_steps == steps
     assert peak <= budget, (peak - budget) / system.rhs.nbytes
     for got, want in ((w.U, default.U), (w.P, default.P), (w.Q, default.Q)):
@@ -740,7 +773,7 @@ def test_import_leaves_the_sparse_lu_unloaded():
 def test_bilinear_form_zero_solution():
     mesh = uniform_mesh(4)
     k = 1
-    problem = unit_problem(0.1, ones)
+    problem = unit_problem(0.1, _ones)
     zero = (zero_poly(mesh, k), zero_poly(mesh, k), zero_poly(mesh, k))
     rng = np.random.default_rng(1)
     chi = tuple(PiecewisePoly(mesh, k, rng.standard_normal((4, 2)))
@@ -751,7 +784,7 @@ def test_bilinear_form_zero_solution():
 def _varying_problem(eps):
     """b = x - 0.4 changes sign, so both upwind branches of bU are used."""
     return Problem(a=lambda x: 1.0 + np.asarray(x), b=lambda x: np.asarray(x) - 0.4,
-                   bprime=ones, c=lambda x: 2.0 + np.sin(x),
+                   bprime=_ones, c=lambda x: 2.0 + np.sin(x),
                    f=lambda x: np.sin(2.0 * np.asarray(x)) + 1.5,
                    eps=eps, alpha=1.0, gamma=1.0)
 
@@ -928,8 +961,11 @@ def test_energy_identity():
     """B(W; (U, aP - Q, P)) equals the four-term energy norm squared."""
     for kind, k, eps, n in [(MeshKind.SHISHKIN, 1, 1e-4, 16),
                             (MeshKind.BAKHVALOV, 2, 1e-8, 32)]:
-        case, _mesh, w, _rec = solve_and_measure(kind, k, eps, n)
-        assert energy_identity_deviation(w, case.problem) <= 1e-10      # a = 1
+        case, mesh, w, _rec = solve_and_measure(kind, k, eps, n)
+        chi = (w.U, PiecewisePoly(mesh, k, w.P.coeffs - w.Q.coeffs), w.P)   # a = 1
+        b_val = bilinear_form((w.U, w.P, w.Q), chi, case.problem, mesh, k)
+        en2 = energy_norm(w, case.problem) ** 2
+        assert abs(b_val - en2) <= 1e-10 * en2
 
 
 def test_galerkin_orthogonality():
@@ -955,10 +991,10 @@ def test_galerkin_orthogonality():
 
 def test_bilinear_form_rejects_callable_test_functions():
     mesh = uniform_mesh(2)
-    problem = unit_problem(0.1, ones)
+    problem = unit_problem(0.1, _ones)
     zero = zero_poly(mesh, 0)
     with pytest.raises(TypeError):
-        bilinear_form((zero, zero, zero), (zero, zero, ones), problem, mesh, 0)
+        bilinear_form((zero, zero, zero), (zero, zero, _ones), problem, mesh, 0)
 
 
 # -- outputs pinned across the per-row caching -------------------------------
@@ -1092,8 +1128,8 @@ def test_coupling_blocks_store_positive_zeros():
     """Where b vanishes or changes sign, a coupling block's one nonzero
     term is a signed zero; A stores it as +0, as the matrix product of the
     node factors does."""
-    problem = Problem(a=ones, b=lambda x: np.asarray(x) - 0.4, bprime=ones,
-                      c=lambda x: 2.0 + np.asarray(x), f=ones, eps=0.05,
+    problem = Problem(a=_ones, b=lambda x: np.asarray(x) - 0.4, bprime=_ones,
+                      c=lambda x: 2.0 + np.asarray(x), f=_ones, eps=0.05,
                       alpha=1.0, gamma=1.0)
     for k in range(4):
         data = assemble(problem, uniform_mesh(10), k).matrix.data
