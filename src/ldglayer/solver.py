@@ -47,18 +47,18 @@ a time, factors only the block-tridiagonal trace system of 3(N-1) node
 unknowns (whatever k is) with LAPACK's banded LU with partial pivoting
 (kl = 3, ku = 4), and recovers the element unknowns from the node values.
 It then runs extended-precision iterative refinement against the assembled
-A, which stops once the residual meets the advertised tolerance or reaches
-the float64 rounding floor eps_mach * || |A| |x| ||_inf, below which no
-float64-stored solution can go.  Every residual and the floor are
-formed by ``_matvec`` in 512-element runs through scipy's public BSR
-product.  Each run converts its blocks and its x window with one call
-each (the float64 residual reads them in place), and the residual's norm
-is taken before it is rounded, so neither A nor x is copied whole and no
-long-double vector is held whole.  During
-refinement ``solve`` holds, beside the assembled system, only D^-1 [X Z],
+A, which stops once the residual reaches the float64 rounding floor
+eps_mach * || |A| |x| ||_inf, below which no float64-stored solution can
+go.  Every residual and the floor are formed by ``_matvec`` in
+512-element runs through scipy's public BSR product.  Each run converts
+its blocks and its x window with one call each (the float64 residual
+reads them in place), and the residual's norm is taken before it is
+rounded, so neither A nor x is copied whole and no long-double vector is
+held whole.  During refinement ``solve`` holds, beside the assembled system, only D^-1 [X Z],
 the band LU of the trace system and two iterate-sized vectors: the back
-substitution works in place a run at a time, and a long-double residual
-is rounded into a new correction only when another step follows.
+substitution works in place a run at a time, and the iterate before the
+last step is released before a long-double residual is rounded into a
+new correction.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class SolveInfo:
     """Direct-solve diagnostics.
 
     ``residual_inf`` is ||b - A x||_inf of the returned x, accumulated in
-    long double when the float64 residual called for refinement (even if
-    the long-double one then met the stop rule, ``refine_steps`` = 0) and
+    long double when the float64 residual lay above the rounding floor
+    (even if the long-double one then met it, ``refine_steps`` = 0) and
     in float64 otherwise; the long-double norm is taken before the
     residual is rounded to float64.  ``refine_steps`` counts the correction solves
     run; when the last one was undone (see ``solve``), x is the iterate
@@ -622,23 +622,22 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     Refinement therefore measures every residual against the assembled A,
     not the condensed system: A is the operator the result is checked
     against, and its residual and floor are what the stop rule and the
-    final check read.  It stops at max(0.3 * RESIDUAL_RTOL * ||rhs||_inf, floor),
-    where floor = eps_mach * || |A| |x| ||_inf: below the floor no
+    final check read.  It stops at the rounding floor
+    floor = eps_mach * || |A| |x| ||_inf of the unrefined x: below it no
     float64-stored x can carry a smaller residual, so further steps cannot
     pay.  A float64 residual decides whether to refine at all (its rounding
-    noise only adds to it).  At or below 0.3 * RESIDUAL_RTOL * ||rhs||_inf
-    it stops and passes whatever the floor is, so the floor is formed only
-    above that line or when the residual is not finite.  Refinement is the
-    classical scheme: the float64 iterate x is corrected by the condensed
-    solve of its residual accumulated in extended precision (near the floor
-    a double-precision residual is dominated by its own rounding noise), at
-    most ``max_refine`` times, and it also stops once a step leaves that
-    residual no smaller, the sign that it has reached the floor.  Besides
-    the system, D^-1 [X Z] and the band factor, refinement holds two
-    iterate-sized vectors: a step's new iterate is formed in the buffer of
-    its correction, and the next long-double residual gives only its norm,
-    formed a second time into a new correction only when another step
-    follows.  The last iterate is returned:
+    noise only adds to it).  Refinement is the classical scheme: the
+    float64 iterate x is corrected by the condensed solve of its residual
+    accumulated in extended precision (near the floor a double-precision
+    residual is dominated by its own rounding noise), at most
+    ``max_refine`` times.  It stops once that residual is at or below the
+    floor, or once a step leaves it no smaller, the sign that it has
+    reached the floor.  Besides the system, D^-1 [X Z] and the band factor,
+    refinement holds two iterate-sized vectors: each pass releases the
+    iterate before the last step, rounds the long-double residual into a
+    fresh correction and forms the new iterate in its buffer, and the new
+    iterate's residual gives only its norm until the next pass.
+    The last iterate is returned:
     at the floor the residual is noise (Bakhvalov k = 1, N = 65536: the
     refined iterate's l2u is within 1e-11 of the converged value, the
     unrefined one's 5e-5 off, though its residual is smaller).  Only when
@@ -648,10 +647,12 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
     the check (Bakhvalov-Shishkin k = 2, N = 4096: 2.4e-8 to 1.6e-7 against
     an allowed 9.6e-8).
 
-    A residual below the stop line bounds the backward error, not the
-    forward error, so at k = 3 and N >= 2048 some table cells measure the
-    solver, not the scheme (README, "Numerical notes"; item 2 of ROADMAP.md;
-    the xfail test ``test_fast_path_rows_match_forced_refinement``).
+    A residual at the floor bounds the backward error, not the forward
+    error.  On Bakhvalov and Bakhvalov-Shishkin k = 3, eps = 1e-8, N = 2048
+    the first long-double residual is already below the floor, so no step
+    runs and l2u is about 9x that of the refined solution (README,
+    "Numerical notes"; item 2 of ROADMAP.md; the xfail rows of
+    ``test_solve_matches_forced_refinement``).
 
     Raises RuntimeError if a local block or the trace system is singular,
     or if the residual is not finite (NaN or inf in the data or the
@@ -674,32 +675,24 @@ def solve(system: BlockSystem, max_refine: int = 4) -> LdgSolution:
         # ||rhs||_inf would allow it.
         return r <= max(target, 4.0 * floor) and math.isfinite(r)
 
-    # Fast path: a float64 residual already at the stop threshold is
-    # trustworthy (measurement noise only adds to it).  At or below 0.3 *
-    # target it stops and passes whatever the floor is, so the floor is
-    # formed only above that line.
+    # x_prev goes before each fresh correction, whose buffer the new iterate
+    # reuses: at most two iterate-sized vectors are held.
     r_inf = _matvec(a, x, b)
-    floor = 0.0 if r_inf <= 0.3 * target and math.isfinite(r_inf) else _rounding_floor(a, x)
-    stop = max(0.3 * target, floor)
+    floor = _rounding_floor(a, x)
     steps = 0
-    if r_inf > stop:
-        # A long-double residual is rounded into a correction only when a
-        # step follows; the new iterate is formed in the correction's buffer,
-        # so at most two iterate-sized vectors are held.
+    while r_inf > floor and steps < max_refine:
+        x_prev = None                   # spent: this pass keeps x
         correction = np.empty_like(x)
         r_inf = _matvec(a, x, b, dtype=np.longdouble, out=correction)
-        while r_inf > stop and steps < max_refine:
-            if steps:                       # the residual again, into a correction
-                del x_prev                  # spent: this step keeps x
-                correction = np.empty_like(x)
-                _matvec(a, x, b, dtype=np.longdouble, out=correction)
-            x_prev, r_prev = x, r_inf       # kept for the final check
-            x = np.add(x_prev, lu.solve(correction), out=correction)
-            steps += 1
-            r_inf = _matvec(a, x, b, dtype=np.longdouble)
-            if r_inf >= r_prev:
-                break
-        del correction
+        if r_inf <= floor:
+            del correction
+            break
+        x_prev, r_prev = x, r_inf       # kept for the final check
+        x = np.add(x_prev, lu.solve(correction), out=correction)
+        steps += 1
+        r_inf = _matvec(a, x, b, dtype=np.longdouble)
+        if r_inf >= r_prev:
+            break
     growth = lu.growth
     del lu                  # D^-1 [X Z] and the band factor are spent
     if steps:

@@ -93,7 +93,7 @@ def test_spec_validation():
 def test_transition_tau_shishkin():
     # 2.5 * 1e-4 * ln 16 (hand evaluation)
     tau, clamped = transition_tau(MeshSpec(MeshKind.SHISHKIN, 16, 1e-4, 2.5))
-    assert tau == pytest.approx(2.5e-4 * math.log(16.0), rel=1e-14)
+    assert tau == pytest.approx(2.5e-4 * math.log(16.0), rel=1e-14, abs=0)
     assert not clamped
 
 

@@ -1,7 +1,10 @@
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import ldglayer
+import ldglayer.study
 
 RETIRED = ("eval_trace", "flux_values", "FluxValues", "error_energy_norm",
            "l2_error", "linf_error_fine",
@@ -9,6 +12,7 @@ RETIRED = ("eval_trace", "flux_values", "FluxValues", "error_energy_norm",
            "bilinear_form", "energy_norm", "fit_rate", "polynomial_case",
            "project_gauss_radau", "projection_error_suite")
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def test_public_surface():
@@ -92,3 +96,29 @@ def test_every_oracle_has_a_reader():
             for name, line in _definitions(ast.parse(oracles.read_text(), str(oracles)))
             if name not in (by_oracles if name.startswith("_") else by_tests)]
     assert not dead, dead
+
+
+def _assigned_literal(path: Path, name: str):
+    """The literal a module assigns to ``name`` at top level, read without
+    importing the module."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_reads_resolve():
+    """What the benchmark reads from the library is there: the per-row
+    calls its tracer swaps in ``ldglayer.study``, the ``max_refine``
+    default of ``solve``, the ``quad`` and ``w`` arguments of
+    ``error_record`` and the ``SolveInfo`` fields it records."""
+    row_calls = _assigned_literal(PERFBENCH / "tracing.py", "ROW_CALLS")
+    assert row_calls
+    for name in row_calls:
+        assert callable(getattr(ldglayer.study, name, None)), name
+    max_refine = inspect.signature(ldglayer.solve).parameters["max_refine"].default
+    assert type(max_refine) is int
+    assert {"quad", "w"} <= inspect.signature(ldglayer.error_record).parameters.keys()
+    fields = {f.name for f in dataclasses.fields(ldglayer.solver.SolveInfo)}
+    assert {"refine_steps", "residual_inf", "rhs_inf", "growth_factor"} <= fields
